@@ -87,6 +87,7 @@ void ChaseStats::PublishTo(const char* prefix,
 
 using chase_internal::AddFactTracked;
 using chase_internal::ApplyRound;
+using chase_internal::EnumerateRoundNaive;
 using chase_internal::EnumerateRoundParallel;
 using chase_internal::EnumerateRoundSequential;
 using chase_internal::RoundBuffer;
@@ -164,14 +165,13 @@ ChaseResult RunChase(const Theory& theory, const Structure& instance,
   // one witness per trigger, not one per round).
   std::unordered_set<std::string> fired;
 
-  // kParallel with one resolved worker thread routes through the serial
-  // delta round path: a pool plus striped tables buys nothing at
-  // parallelism 1 and used to cost up to 2x against kDelta. Same bytes
-  // (both funnel through ApplyRound's canonical order), same stats.
+  // The engine at one resolved worker thread runs the serial round path:
+  // a pool buys nothing at parallelism 1. Same bytes either way (both
+  // funnel through ApplyRound's canonical order), same stats.
+  const bool naive = options.engine == ChaseEngine::kNaive;
   const size_t pool_threads =
       options.threads != 0 ? options.threads : ThreadPool::DefaultThreads();
-  const bool parallel =
-      options.engine == ChaseEngine::kParallel && pool_threads > 1;
+  const bool parallel = !naive && pool_threads > 1;
   std::unique_ptr<ThreadPool> pool;
   if (parallel) {
     pool = std::make_unique<ThreadPool>(pool_threads);
@@ -180,14 +180,7 @@ ChaseResult RunChase(const Theory& theory, const Structure& instance,
 
   // Compiled query plans: one cache per run, shared by every round (and
   // every shard task — PlanCache is thread-safe). kNaive stays on the
-  // interpretive Matcher as the independent A/B reference.
-  const bool use_plans =
-      options.compiled_plans && options.engine != ChaseEngine::kNaive;
-  // The vectorized sink's bulk containment pass gallops the same sorted
-  // indexes the plans use, so it needs them fresh even on the
-  // interpretive path (kNaive keeps the hash sink — see ChaseOptions).
-  const bool use_vsink =
-      options.vectorized_sink && options.engine != ChaseEngine::kNaive;
+  // interpretive Matcher as the independent reference.
   PlanCache plan_cache;
 
   for (size_t round = 1; round <= options.max_rounds; ++round) {
@@ -206,8 +199,9 @@ ChaseResult RunChase(const Theory& theory, const Structure& instance,
 
     // Round boundaries are the single-threaded point of the run: extend
     // the sorted per-position indexes over the previous round's additions
-    // before any (possibly parallel) scan starts reading them.
-    if (use_plans || use_vsink) {
+    // before any (possibly parallel) scan or bulk containment pass starts
+    // reading them.
+    if (!naive) {
       Status fs = ctx->CheckFault(faults::kIndexRefresh);
       if (!fs.ok()) {
         out.status = std::move(fs);
@@ -237,19 +231,15 @@ ChaseResult RunChase(const Theory& theory, const Structure& instance,
     // snapshot into a buffer; the structure is not touched until the
     // buffer is applied, so every engine sees one frozen instance.
     RoundBuffer buf;
-    RoundInputs inputs{theory,
-                       out.structure,
-                       options,
-                       ctx,
-                       &fired,
-                       use_plans ? &plan_cache : nullptr,
-                       fault};
+    RoundInputs inputs{theory, out.structure, options, ctx,
+                       &fired, &plan_cache, fault};
     Status barrier = Status::OK();
-    if (parallel) {
+    if (naive) {
+      EnumerateRoundNaive(inputs, &buf);
+    } else if (parallel) {
       barrier = EnumerateRoundParallel(inputs, pool.get(), &buf);
     } else {
-      EnumerateRoundSequential(inputs, options.engine != ChaseEngine::kNaive,
-                               &buf);
+      EnumerateRoundSequential(inputs, &buf);
     }
 
     auto elapsed_ms = [&round_start] {
@@ -303,8 +293,8 @@ ChaseResult RunChase(const Theory& theory, const Structure& instance,
     // is either contained in the frozen structure, collapsed as an
     // in-round duplicate, or emitted as a fresh tuple. A sink that drops
     // or double-counts tuples breaks this identity. Only the vectorized
-    // sink populates sink_candidates, so the check is gated on it.
-    if (paranoia != ParanoiaLevel::kOff && use_vsink &&
+    // sink populates sink_candidates, so kNaive's hash sink is exempt.
+    if (paranoia != ParanoiaLevel::kOff && !naive &&
         buf.stats.sink_candidates != buf.stats.sink_contained +
                                          buf.stats.datalog_deduped +
                                          buf.datalog.size()) {

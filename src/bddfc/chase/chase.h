@@ -11,17 +11,17 @@
 // non-oblivious chase demands at most one witness per demanded pattern,
 // which is what Lemma 3(iv) relies on.
 //
-// The default engine is *delta-driven* (semi-naive): from round 2 on, each
-// rule body is evaluated only over bindings in which at least one atom
-// matches a fact born in the previous round. The delta is a per-relation
-// row range recorded by Structure::MarkRoundBoundary — no copied
-// structures. Each body atom in turn anchors the delta while atoms before
-// the anchor stay on pre-round rows (the old/new split), so every binding
-// is derived exactly once per round. Because facts are never deleted, a
-// trigger whose body avoids the delta was already handled in an earlier
-// round, and the delta engine produces the same rounds and facts as the
-// naive full re-enumeration (kept available as ChaseEngine::kNaive for A/B
-// testing and ablation baselines).
+// The production engine is *delta-driven* (semi-naive): from round 2 on,
+// each rule body is evaluated only over bindings in which at least one
+// atom matches a fact born in the previous round. The delta is a
+// per-relation row range recorded by Structure::MarkRoundBoundary — no
+// copied structures. Each body atom in turn anchors the delta while atoms
+// before the anchor stay on pre-round rows (the old/new split), so every
+// binding is derived exactly once per round. Because facts are never
+// deleted, a trigger whose body avoids the delta was already handled in an
+// earlier round, and the delta engine produces the same rounds and facts
+// as the naive full re-enumeration (kept as ChaseEngine::kNaive, the
+// independent reference of the differential tests and oracles).
 
 #ifndef BDDFC_CHASE_CHASE_H_
 #define BDDFC_CHASE_CHASE_H_
@@ -40,17 +40,22 @@
 namespace bddfc {
 
 /// Which round loop RunChase uses. Both produce the same result (same
-/// facts, same rounds, same null count); kDelta only enumerates bindings
-/// anchored in the previous round's delta.
+/// facts, same rounds, same null count, same row order and null TermIds);
+/// only the effort counters (bindings tried, index probes) differ.
 enum class ChaseEngine {
-  kDelta,  ///< semi-naive delta evaluation (default)
-  kNaive,  ///< full re-enumeration every round (the seed loop; baseline)
-  /// Sharded delta evaluation on a thread pool: each round's anchor scans
-  /// split into fixed-size row chunks buffered through striped dedup
-  /// tables and merged in canonical order at the round barrier, so the
-  /// result — including row order and null naming — is byte-identical to
-  /// kDelta at any ChaseOptions::threads (see chase/parallel.h).
+  /// The production engine: delta-anchored rule bodies through compiled
+  /// query plans (eval/plan.h) with vectorized block execution, round
+  /// derivations buffered through the vectorized sink (round.h). At a
+  /// resolved ChaseOptions::threads > 1 each round's anchor scans split
+  /// into fixed-size row chunks on a thread pool and merge in canonical
+  /// order at the round barrier, so the result — including row order and
+  /// null naming — is byte-identical at any thread count (see
+  /// chase/parallel.h).
   kParallel,
+  /// Full re-enumeration every round through the interpretive Matcher and
+  /// the per-binding hash sink: the seed loop, kept as the one independent
+  /// reference the differential tests and oracles compare against.
+  kNaive,
 };
 
 /// Deliberate engine faults for the differential fuzzer's self-test
@@ -71,8 +76,8 @@ enum class ChaseFault {
   /// Break the vectorized sink's sort-dedup merge: any candidate tuple
   /// derived more than once in a round is dropped entirely instead of
   /// collapsed to one copy, so facts with multiple derivations go missing.
-  /// Inactive when vectorized_sink is off — the point is proving the
-  /// differential oracles see through the batched path specifically.
+  /// Inactive under kNaive, which keeps the hash sink — the point is
+  /// proving the differential oracles see through the batched path.
   kSinkDropDup,
 };
 
@@ -97,31 +102,13 @@ struct ChaseOptions {
   /// existential TGDs are still *checked* afterwards by CheckModel).
   bool datalog_only = false;
   /// Round-loop implementation (results are identical; speed is not).
-  ChaseEngine engine = ChaseEngine::kDelta;
-  /// Worker threads for ChaseEngine::kParallel (ignored otherwise);
+  ChaseEngine engine = ChaseEngine::kParallel;
+  /// Worker threads for ChaseEngine::kParallel (ignored by kNaive);
   /// 0 = ThreadPool::DefaultThreads(). The result does not depend on this
-  /// value, only the wall time does. A resolved value <= 1 routes through
-  /// the serial round path inside the parallel engine — same bytes, same
-  /// stats, none of the pool/striped-table overhead.
-  size_t threads = 0;
-  /// Evaluate rule bodies through compiled query plans (eval/plan.h) with
-  /// vectorized block execution (eval/exec.h) instead of the interpretive
-  /// Matcher. Applies to kDelta and kParallel; kNaive always runs the
-  /// interpreter so an independent A/B reference survives. The result is
-  /// byte-identical either way — only postings_hits/_misses/rows_scanned
-  /// may differ (the two backends probe indexes in different orders).
-  bool compiled_plans = true;
-  /// Buffer each round's head derivations through the vectorized sink
-  /// (chase/round.h VectorSink): candidates append raw to flat
-  /// per-predicate tuple buffers, duplicates collapse by sort-and-merge,
-  /// and frozen-containment is answered by one bulk
-  /// Structure::ContainsSorted pass per buffer — instead of one Contains
-  /// hash probe plus one dedup-set insert per derived occurrence. Applies
-  /// to kDelta and kParallel; kNaive keeps the per-binding hash sink so an
-  /// independent A/B reference survives (mirroring compiled_plans). The
-  /// result is byte-identical either way, including the dedup counters;
-  /// only the sink_* counters are populated exclusively by this path.
-  bool vectorized_sink = true;
+  /// value, only the wall time does. A resolved value of 1 (the default)
+  /// runs the serial round path — same bytes, same stats, none of the
+  /// pool overhead.
+  size_t threads = 1;
   /// Fault injection for fuzzer self-tests; kNone in all production paths.
   /// A FaultRegistry fire at faults::kChaseBug (resolved once at RunChase
   /// entry) overrides this when its action names a ChaseFault.
@@ -151,7 +138,7 @@ struct ChaseStats {
   size_t triggers_deduped = 0;
   /// Buffered datalog derivations dropped as duplicates within a round.
   size_t datalog_deduped = 0;
-  /// Vectorized-sink counters, all zero when vectorized_sink is off.
+  /// Vectorized-sink counters, all zero under kNaive (hash sink).
   /// sink_candidates counts datalog head occurrences buffered (before any
   /// dedup or containment check) and sink_contained the occurrences
   /// dropped because the tuple was already in the frozen structure — both

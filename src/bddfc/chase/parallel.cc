@@ -7,70 +7,20 @@
 #include <utility>
 #include <vector>
 
-#include "bddfc/base/striped_table.h"
 #include "bddfc/eval/exec.h"
 #include "bddfc/obs/trace.h"
 
 namespace bddfc {
 namespace chase_internal {
 
-namespace {
-
-/// Shared round state every shard task buffers into. The striped tables
-/// carry the dedup invariants across shards; the counters are atomics so
-/// tasks never serialize on a stats mutex inside the enumeration loop.
-struct SharedBuffers {
-  StripedSet<Atom, AtomHash> datalog;
-  StripedMap<std::string, PendingExistential> triggers;
-  std::atomic<size_t> datalog_deduped{0};
-  std::atomic<size_t> triggers_deduped{0};
-  std::atomic<size_t> fault_seq{0};
-};
-
-/// Per-task view of the shared buffers, implementing the Sink interface of
-/// HandleBinding.
-struct StripedSink {
-  const RoundInputs& in;
-  SharedBuffers* shared;
-
-  bool BufferDatalog(Atom g) {
-    if (in.frozen.Contains(g)) return false;
-    if (!shared->datalog.Insert(g)) {
-      shared->datalog_deduped.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
-    return true;
-  }
-  /// The run-global oblivious `fired` set is not thread-safe; filtering
-  /// moves to the merge barrier. Equivalent: a delta round enumerates each
-  /// (rule, binding) at most once, so within-round keys are unique and a
-  /// previously-fired key is simply dropped at the barrier instead of here.
-  bool ObliviousPreFilter(const std::string& key) {
-    (void)key;
-    return false;
-  }
-  void BufferTrigger(std::string key, PendingExistential pe) {
-    auto less = [](const PendingExistential& a, const PendingExistential& b) {
-      return TriggerLess(a, b);
-    };
-    if (!shared->triggers.InsertOrMin(key, std::move(pe), less)) {
-      shared->triggers_deduped.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  size_t FaultSeq() {
-    return shared->fault_seq.fetch_add(1, std::memory_order_relaxed);
-  }
-};
-
-/// The vectorized round (ChaseOptions::vectorized_sink): each shard task
-/// buffers into a private VectorSink — no striped-table contention in the
-/// enumeration loop — and finalizes it locally (sort-dedup + one bulk
-/// containment pass per predicate). The barrier then merges the tasks'
-/// sorted distinct runs, counting cross-run duplicates, and keep-min
-/// dedups the raw trigger candidates — the same totals and the same
-/// winners as the striped path, at any thread count.
-Status EnumerateRoundParallelVectorized(const RoundInputs& in,
-                                        ThreadPool* pool, RoundBuffer* buf) {
+// Each shard task buffers into a private VectorSink — no shared table in
+// the enumeration loop — and finalizes it locally (sort-dedup + one bulk
+// containment pass per predicate). The barrier then merges the tasks'
+// sorted distinct runs, counting cross-run duplicates, and keep-min
+// dedups the raw trigger candidates: the same totals and the same winners
+// as the serial round, at any thread count.
+Status EnumerateRoundParallel(const RoundInputs& in, ThreadPool* pool,
+                              RoundBuffer* buf) {
   std::mutex mu;
   ChaseStats merged;
   std::vector<DatalogSinkBuffers::Run> runs;
@@ -81,8 +31,11 @@ Status EnumerateRoundParallelVectorized(const RoundInputs& in,
     const Rule& rule = in.theory.rules()[ri];
     if (rule.IsExistential() && in.options.datalog_only) continue;
     for (size_t di = 0; di < rule.body.size(); ++di) {
-      // Same task-set construction as the striped path below: a pure
-      // function of the workload, never of the thread count.
+      // An anchor whose old/new split is vacuous contributes no bindings:
+      // skip it by inspecting the structure only, so the task set stays a
+      // pure function of the workload, never of the thread count. (In
+      // round 1 every watermark is 0, which kills all anchors but the
+      // first — the full enumeration.)
       bool empty_prefix = false;
       for (size_t j = 0; j < di; ++j) {
         if (in.frozen.WatermarkRows(rule.body[j].pred) == 0) {
@@ -94,6 +47,9 @@ Status EnumerateRoundParallelVectorized(const RoundInputs& in,
       const PredId anchor_pred = rule.body[di].pred;
       for (const RowRange& chunk :
            in.frozen.DeltaChunks(anchor_pred, kChunkRows)) {
+        // Shard by anchor predicate: one relation's scan homes on one
+        // worker (cache-warm postings) and a skewed relation's chunk
+        // backlog spreads by stealing.
         pool->Submit(
             static_cast<size_t>(anchor_pred), [&, ri, di, chunk]() -> Status {
               // Fail-stop fault site: the trip latches on the context and
@@ -107,6 +63,10 @@ Status EnumerateRoundParallelVectorized(const RoundInputs& in,
               obs::TraceSpan span(&in.ctx->tracer(), "chase.shard");
               ChaseStats local;
               Matcher witness(in.frozen);
+              // The run-global oblivious `fired` set is not thread-safe, so
+              // filtering moves to the barrier. Equivalent: a delta round
+              // enumerates each (rule, binding) at most once, so keys are
+              // unique within the round.
               VectorSink sink(in, &local, kSinkCompactTuples, &fault_seq,
                               /*defer_oblivious=*/true);
               const Rule& r = in.theory.rules()[ri];
@@ -139,8 +99,8 @@ Status EnumerateRoundParallelVectorized(const RoundInputs& in,
   Status barrier = pool->Wait();
 
   // Canonical merge under the sink span: cross-run datalog dedup, keep-min
-  // trigger dedup, then the deferred oblivious filter (dedup-then-filter,
-  // matching the striped path's DrainSorted-then-filter order).
+  // trigger dedup, then the deferred oblivious filter (keys fired in an
+  // earlier round are dropped, new ones recorded).
   obs::TraceSpan span(&in.ctx->tracer(), "chase.sink");
   // Fail-stop fault site at the barrier merge; a fire latches the context
   // and the round-abort path in chase.cc discards the merged buffer.
@@ -161,112 +121,6 @@ Status EnumerateRoundParallelVectorized(const RoundInputs& in,
   } else {
     buf->triggers = std::move(deduped);
   }
-  return barrier;
-}
-
-}  // namespace
-
-Status EnumerateRoundParallel(const RoundInputs& in, ThreadPool* pool,
-                              RoundBuffer* buf) {
-  if (in.options.vectorized_sink) {
-    return EnumerateRoundParallelVectorized(in, pool, buf);
-  }
-  SharedBuffers shared;
-  std::mutex stats_mu;
-  ChaseStats merged;
-
-  for (size_t ri = 0; ri < in.theory.rules().size(); ++ri) {
-    const Rule& rule = in.theory.rules()[ri];
-    if (rule.IsExistential() && in.options.datalog_only) continue;
-    for (size_t di = 0; di < rule.body.size(); ++di) {
-      // An anchor whose old/new split is vacuous contributes no bindings:
-      // skip it by inspecting the structure only, so the task set stays a
-      // pure function of the workload. (In round 1 every watermark is 0,
-      // which kills all anchors but the first — the full enumeration.)
-      bool empty_prefix = false;
-      for (size_t j = 0; j < di; ++j) {
-        if (in.frozen.WatermarkRows(rule.body[j].pred) == 0) {
-          empty_prefix = true;
-          break;
-        }
-      }
-      if (empty_prefix) continue;
-      const PredId anchor_pred = rule.body[di].pred;
-      for (const RowRange& chunk :
-           in.frozen.DeltaChunks(anchor_pred, kChunkRows)) {
-        // Shard by anchor predicate: one relation's scan homes on one
-        // worker (cache-warm postings) and a skewed relation's chunk
-        // backlog spreads by stealing.
-        pool->Submit(
-            static_cast<size_t>(anchor_pred), [&, ri, di, chunk]() -> Status {
-              // Fail-stop fault site (see the vectorized task above).
-              if (!in.ctx->CheckFault(faults::kPoolTask).ok()) {
-                return Status::OK();
-              }
-              const auto start = std::chrono::steady_clock::now();
-              obs::TraceSpan span(&in.ctx->tracer(), "chase.shard");
-              ChaseStats local;
-              Matcher witness(in.frozen);
-              StripedSink sink{in, &shared};
-              const Rule& r = in.theory.rules()[ri];
-              const std::vector<RowBand> bands =
-                  AnchorBands(in.frozen, r, di, chunk.begin, chunk.end);
-              const std::function<bool(const Binding&)> on_binding =
-                  [&](const Binding& b) {
-                    return HandleBinding(in, ri, b, witness, sink);
-                  };
-              if (in.plans != nullptr) {
-                // Shared thread-safe plan cache; the sorted indexes were
-                // refreshed at the round boundary, so shard reads race
-                // nothing.
-                const std::function<bool()> block_stop = [&in] {
-                  return in.ctx->ShouldStop("plan block");
-                };
-                ExecuteBandedPlan(in.frozen, *in.plans, r.body, di, bands,
-                                  on_binding, &local.match, &block_stop);
-              } else {
-                Matcher matcher(in.frozen, &local.match);
-                matcher.EnumerateBanded(r.body, bands, {}, on_binding);
-              }
-              span.set_detail("r" + std::to_string(ri) + " a" +
-                              std::to_string(di) + " +" +
-                              std::to_string(chunk.size()) + "@" +
-                              std::to_string(chunk.begin));
-              local.round_ms.push_back(
-                  std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - start)
-                      .count());
-              std::lock_guard<std::mutex> lock(stats_mu);
-              merged += local;  // counters sum; round_ms takes the max
-              return Status::OK();
-            });
-      }
-    }
-  }
-
-  Status barrier = pool->Wait();
-
-  // Canonical merge: drained in key order; arrival order is gone.
-  buf->datalog = shared.datalog.DrainSorted();
-  auto drained = shared.triggers.DrainSorted();
-  if (in.options.oblivious) {
-    // Deferred oblivious filter (see StripedSink::ObliviousPreFilter):
-    // keys fired in an earlier round are dropped, new ones recorded.
-    buf->triggers.reserve(drained.size());
-    for (auto& kv : drained) {
-      if (in.fired->insert(kv.first).second) {
-        buf->triggers.push_back(std::move(kv));
-      }
-    }
-  } else {
-    buf->triggers = std::move(drained);
-  }
-
-  buf->stats = std::move(merged);
-  buf->stats.datalog_deduped =
-      shared.datalog_deduped.load(std::memory_order_relaxed);
-  buf->stats.triggers_deduped =
-      shared.triggers_deduped.load(std::memory_order_relaxed);
   return barrier;
 }
 

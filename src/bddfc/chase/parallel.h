@@ -1,13 +1,13 @@
-// Parallel sharded round enumeration for the chase (ChaseEngine::kParallel).
+// Parallel sharded round enumeration for the chase (ChaseEngine::kParallel
+// at a resolved thread count above 1).
 //
 // One chase round fans out as independent scan tasks: for every rule and
 // every delta anchor position, the anchor relation's delta is split into
 // fixed-size row chunks (Structure::DeltaChunks) and each chunk becomes one
-// ThreadPool task. Tasks share a striped insert-if-absent buffer
-// (base/striped_table.h) for the round's derivations; the pool's Wait() is
-// the round barrier, after which the buffer drains in canonical sorted
-// order into the same RoundBuffer/ApplyRound path the sequential engines
-// use.
+// ThreadPool task. Each task buffers its derivations into a private
+// vectorized sink (round.h); the pool's Wait() is the round barrier, after
+// which the tasks' sorted runs and trigger candidates merge in canonical
+// order into the same RoundBuffer/ApplyRound path the serial round uses.
 //
 // Determinism: the task *set* depends only on the structure (watermarks +
 // row counts + a fixed chunk size), never on the thread count; chunks
@@ -15,8 +15,8 @@
 // row lies in exactly one chunk); and the merge keeps the TriggerLess-least
 // candidate per trigger key regardless of arrival order. Hence the applied
 // round — and therefore the whole run, including row order, null naming
-// and provenance — is byte-identical to the sequential delta engine at any
-// thread count.
+// and provenance — is byte-identical to the serial round at any thread
+// count.
 
 #ifndef BDDFC_CHASE_PARALLEL_H_
 #define BDDFC_CHASE_PARALLEL_H_

@@ -148,8 +148,9 @@ std::vector<RowBand> AnchorBands(const Structure& s, const Rule& rule,
 
 namespace {
 
-/// The sequential engines' buffer operations: plain containers, dedup
-/// counted on the way in.
+/// kNaive's buffer operations: plain hash containers, frozen containment
+/// probed and dedup counted per occurrence on the way in — independent of
+/// the vectorized sink it cross-checks.
 struct SerialSink {
   const RoundInputs& in;
   RoundBuffer* buf;
@@ -541,11 +542,6 @@ void EnumerateAnchorVectorized(const RoundInputs& in, size_t ri, size_t di,
   auto on_binding = [&](const Binding& b) {
     return HandleBinding(in, ri, b, witness, *sink);
   };
-  if (in.plans == nullptr) {
-    Matcher matcher(in.frozen, match_stats);
-    matcher.EnumerateBanded(rule.body, bands, {}, on_binding);
-    return;
-  }
   // Fail-stop fault site at the plan boundary: a fire latches the context
   // and this anchor (and, via Exhausted, the rest of the round) is skipped;
   // the round-abort path discards the partial buffer.
@@ -583,24 +579,30 @@ void EnumerateAnchorVectorized(const RoundInputs& in, size_t ri, size_t di,
                     &block_stop);
 }
 
-namespace {
-
-/// The delta round loop over the vectorized sink: same anchor rotation and
-/// skip rules as the hash path below, with per-(rule, anchor) enumeration
-/// delegated to EnumerateAnchorVectorized and one sink finalization at the
-/// end (which runs even after a governor trip — see VectorSink::Finish).
-void EnumerateRoundSequentialVectorized(const RoundInputs& in,
-                                        RoundBuffer* buf) {
+void EnumerateRoundSequential(const RoundInputs& in, RoundBuffer* buf) {
   Matcher witness(in.frozen);
   VectorSink sink(in, &buf->stats);
   for (size_t ri = 0; ri < in.theory.rules().size(); ++ri) {
     if (in.ctx->Exhausted()) break;  // a trip mid-rule skips the rest
     const Rule& rule = in.theory.rules()[ri];
     if (rule.IsExistential() && in.options.datalog_only) continue;
+    // Semi-naive: rotate a delta anchor over the body; each binding that
+    // touches the delta is enumerated exactly once, with the anchor at its
+    // first delta atom. Before the first MarkRoundBoundary (round 1) all
+    // watermarks are 0, so only anchor 0 fires and it performs one full
+    // enumeration.
     for (size_t di = 0; di < rule.body.size(); ++di) {
       const PredId anchor_pred = rule.body[di].pred;
       const uint32_t wm = in.frozen.WatermarkRows(anchor_pred);
-      if (wm >= in.frozen.NumFacts(anchor_pred)) continue;
+      if (wm >= in.frozen.NumFacts(anchor_pred)) {
+        continue;  // this relation gained nothing last round
+      }
+      // An anchor whose pre-watermark prefix is vacuous (some earlier body
+      // atom has watermark 0) contributes no bindings, but the plan
+      // executor pins the anchor first and would scan its whole delta
+      // before probing the empty band. Skip it up front, matching the
+      // parallel path's shard-submission filter, so the effort counters
+      // agree at every thread count.
       bool empty_prefix = false;
       for (size_t j = 0; j < di; ++j) {
         if (in.frozen.WatermarkRows(rule.body[j].pred) == 0) {
@@ -615,17 +617,11 @@ void EnumerateRoundSequentialVectorized(const RoundInputs& in,
                                 &buf->stats.match);
     }
   }
+  // Runs even after a governor trip (see VectorSink::Finish).
   sink.Finish(buf);
 }
 
-}  // namespace
-
-void EnumerateRoundSequential(const RoundInputs& in, bool delta,
-                              RoundBuffer* buf) {
-  if (delta && in.options.vectorized_sink) {
-    EnumerateRoundSequentialVectorized(in, buf);
-    return;
-  }
+void EnumerateRoundNaive(const RoundInputs& in, RoundBuffer* buf) {
   Matcher matcher(in.frozen, &buf->stats.match);
   // Witness-existence probes go through a stats-less matcher so
   // bindings_tried counts rule-body bindings only.
@@ -636,58 +632,9 @@ void EnumerateRoundSequential(const RoundInputs& in, bool delta,
     if (in.ctx->Exhausted()) break;  // a trip mid-rule skips the rest
     const Rule& rule = in.theory.rules()[ri];
     if (rule.IsExistential() && in.options.datalog_only) continue;
-
-    auto on_binding = [&](const Binding& b) {
+    matcher.Enumerate(rule.body, {}, [&](const Binding& b) {
       return HandleBinding(in, ri, b, witness, sink);
-    };
-
-    if (delta) {
-      // Semi-naive: rotate a delta anchor over the body; each binding that
-      // touches the delta is enumerated exactly once, with the anchor at
-      // its first delta atom. Before the first MarkRoundBoundary (round 1)
-      // all watermarks are 0, so only anchor 0 fires and it performs one
-      // full enumeration.
-      for (size_t di = 0; di < rule.body.size(); ++di) {
-        const PredId anchor_pred = rule.body[di].pred;
-        const uint32_t wm = in.frozen.WatermarkRows(anchor_pred);
-        if (wm >= in.frozen.NumFacts(anchor_pred)) {
-          continue;  // this relation gained nothing last round
-        }
-        // An anchor whose pre-watermark prefix is vacuous (some earlier
-        // body atom has watermark 0) contributes no bindings. The matcher
-        // discovers this for free — it enumerates in body order and the
-        // empty band kills the walk before reaching the anchor — but the
-        // plan executor pins the anchor first and would scan its whole
-        // delta before probing the empty band. Skip it up front, matching
-        // the parallel engine's shard-submission filter, so the effort
-        // counters agree across all three paths.
-        bool empty_prefix = false;
-        for (size_t j = 0; j < di; ++j) {
-          if (in.frozen.WatermarkRows(rule.body[j].pred) == 0) {
-            empty_prefix = true;
-            break;
-          }
-        }
-        if (empty_prefix) continue;
-        const std::vector<RowBand> bands =
-            AnchorBands(in.frozen, rule, di, wm, UINT32_MAX);
-        if (in.plans != nullptr) {
-          if (!in.ctx->CheckFault(faults::kPlanCompile).ok()) break;
-          // Compiled path: per-(body, anchor) plan from the run cache,
-          // vectorized banded execution. The binding *set* matches the
-          // interpreter's, which is all ApplyRound depends on.
-          const std::function<bool()> block_stop = [&in] {
-            return in.ctx->ShouldStop("plan block");
-          };
-          ExecuteBandedPlan(in.frozen, *in.plans, rule.body, di, bands,
-                            on_binding, &buf->stats.match, &block_stop);
-        } else {
-          matcher.EnumerateBanded(rule.body, bands, {}, on_binding);
-        }
-      }
-    } else {
-      matcher.Enumerate(rule.body, {}, on_binding);
-    }
+    });
   }
 
   // The sink's keep-min map already holds unique keys; move it out.

@@ -1,14 +1,14 @@
 // Internal round machinery shared by the chase engines (chase.cc,
-// parallel.cc): trigger canonicalization, per-binding buffering, and the
-// canonical round application that makes every engine's output
-// byte-identical.
+// parallel.cc): trigger canonicalization, per-binding buffering, the
+// vectorized round sink, and the canonical round application that makes
+// every engine's output byte-identical.
 //
 // Determinism design. Within a round, body bindings may be enumerated in
-// any order — the sequential engines follow the join order the matcher
-// picks, the parallel engine additionally splits delta anchors into row
-// chunks, which changes the matcher's dynamic atom selection and hence the
-// discovery order. Byte-identical results therefore cannot rely on
-// discovery order anywhere. Instead:
+// any order — the serial round follows the join order the plan (or, under
+// kNaive, the matcher) picks, the parallel round additionally splits delta
+// anchors into row chunks, which changes the discovery order.
+// Byte-identical results therefore cannot rely on discovery order
+// anywhere. Instead:
 //
 //   * buffered datalog additions are a *set*; ApplyRound inserts them
 //     sorted by (predicate, argument tuple);
@@ -89,15 +89,15 @@ struct RoundInputs {
   const Structure& frozen;  ///< Chase^{i-1}; not mutated until ApplyRound
   const ChaseOptions& options;
   ExecutionContext* ctx;  ///< never null (RunChase installs a local one)
-  /// Oblivious-mode run-global (rule, body-binding) dedup. The sequential
-  /// engines filter against it during enumeration; the parallel engine at
+  /// Oblivious-mode run-global (rule, body-binding) dedup. The serial
+  /// rounds filter against it during enumeration; the parallel round at
   /// the merge barrier (equivalent: a delta-driven round enumerates each
   /// binding at most once, so within-round keys are unique).
   std::unordered_set<std::string>* fired;
-  /// Per-run compiled-plan cache (thread-safe); nullptr = evaluate rule
-  /// bodies through the interpretive Matcher instead. Witness-existence
-  /// probes always stay on the Matcher: their patterns are grounded per
-  /// binding (caching would never hit) and dominated by point lookups.
+  /// Per-run compiled-plan cache (thread-safe; kNaive never reads it).
+  /// Witness-existence probes always stay on the Matcher: their patterns
+  /// are grounded per binding (caching would never hit) and dominated by
+  /// point lookups.
   PlanCache* plans = nullptr;
   /// The run's effective behavioral fault, resolved once at RunChase entry
   /// from options.fault or a FaultRegistry fire at faults::kChaseBug.
@@ -108,17 +108,17 @@ struct RoundInputs {
 /// Serializes the oblivious-chase firing key of (rule `ri`, binding `b`).
 std::string ObliviousKey(size_t ri, const Rule& rule, const Binding& b);
 
-/// Per-binding buffering logic, shared verbatim by the sequential and
-/// parallel engines; `Sink` supplies the buffer operations:
+/// Per-binding buffering logic, shared verbatim by every round loop;
+/// `Sink` supplies the buffer operations:
 ///
 ///   bool BufferDatalog(Atom g);            // false = duplicate (counted)
 ///   bool ObliviousPreFilter(const std::string& key);  // true = skip now
 ///   void BufferTrigger(std::string key, PendingExistential pe);
 ///   size_t FaultSeq();                     // kSkipTriggerDedup suffixes
 ///
-/// BufferDatalog owns the frozen-containment check: the hash sinks probe
-/// Contains eagerly per occurrence, the vectorized sink defers both the
-/// probe and the dedup to its sorted bulk pass.
+/// BufferDatalog owns the frozen-containment check: kNaive's hash sink
+/// probes Contains eagerly per occurrence, the vectorized sink defers both
+/// the probe and the dedup to its sorted bulk pass.
 ///
 /// Returns false to stop the enumeration (governor trip).
 template <typename Sink>
@@ -177,7 +177,7 @@ bool HandleBinding(const RoundInputs& in, size_t ri, const Binding& b,
 /// rows [begin, end) of its relation: atoms before the anchor stay on
 /// pre-round rows, atoms after it range over the full relation — the
 /// standard old/new split, with the anchor band narrowed to one chunk for
-/// sharded scans (the sequential engines pass the whole delta).
+/// sharded scans (the serial round passes the whole delta).
 std::vector<RowBand> AnchorBands(const Structure& s, const Rule& rule,
                                  size_t di, uint32_t begin, uint32_t end);
 
@@ -190,7 +190,7 @@ inline constexpr size_t kSinkCompactTuples = 1 << 16;
 
 /// Flat per-predicate candidate buffers with sort-dedup compaction and
 /// bulk containment — the datalog half of the vectorized round sink
-/// (DESIGN §2.13), shared by the chase engines and SaturateDatalog.
+/// (DESIGN §2.13), shared by the serial and parallel rounds.
 ///
 /// Append is the entire per-occurrence cost: bump a cursor and copy
 /// `arity` TermIds; no Atom allocation, no hash probe, no dedup-set
@@ -200,8 +200,8 @@ inline constexpr size_t kSinkCompactTuples = 1 << 16;
 /// k occurrences contributes k-1 to deduped() whether it collapses in one
 /// compaction, telescopes across several, or splits across parallel
 /// tasks), and the fresh distinct tuples go through one bulk
-/// Structure::ContainsSorted probe. The counters therefore match the hash
-/// sinks' exactly — the byte-identity contract extends to stats.
+/// Structure::ContainsSorted probe. The counters therefore match kNaive's
+/// hash sink exactly — the byte-identity contract extends to stats.
 class DatalogSinkBuffers {
  public:
   /// `frozen` answers containment (Chase^{i-1}; must outlive the sink).
@@ -278,16 +278,16 @@ void MergeDatalogRuns(std::vector<DatalogSinkBuffers::Run> runs,
 /// Sorts raw (key, candidate) trigger pairs, collapses each key to its
 /// TriggerLess-least candidate counting dropped occurrences into *tdedup,
 /// and appends the unique-key survivors to *out in key order — the same
-/// winner the hash sinks' keep-min maps pick, independent of arrival
+/// winner kNaive's keep-min hash map picks, independent of arrival
 /// order.
 void DedupTriggers(
     std::vector<std::pair<std::string, PendingExistential>> raw,
     std::vector<std::pair<std::string, PendingExistential>>* out,
     size_t* tdedup);
 
-/// The vectorized round sink (ChaseOptions::vectorized_sink): datalog
-/// candidates go through DatalogSinkBuffers, existential triggers append
-/// raw and dedup once at the end. Satisfies the HandleBinding Sink
+/// The vectorized round sink: datalog candidates go through
+/// DatalogSinkBuffers, existential triggers append raw and dedup once at
+/// the end. Satisfies the HandleBinding Sink
 /// interface, plus AppendDatalogSlot for block-at-a-time head grounding.
 class VectorSink {
  public:
@@ -315,8 +315,8 @@ class VectorSink {
     return bufs_.Append(pred, arity);
   }
 
-  /// Serial engines: final-compacts, folds counters into `stats`, and
-  /// emits into `buf` exactly what the hash sinks would have — under a
+  /// Serial round: final-compacts, folds counters into `stats`, and emits
+  /// into `buf` exactly what kNaive's hash sink would have — under a
   /// "chase.sink" trace span. Runs even after a governor trip (the
   /// kTornExhaust self-test applies a torn round's buffered datalog).
   void Finish(RoundBuffer* buf);
@@ -362,23 +362,25 @@ struct HeadTemplate {
 std::vector<HeadTemplate> BuildHeadTemplates(
     const Rule& rule, const std::vector<TermId>& slot_vars);
 
-/// Enumerates rule `ri` with delta anchor `di` over `bands` into the
-/// vectorized sink: datalog rules on the compiled path ground their heads
-/// block-at-a-time straight from the executor's slot blocks (no Binding,
-/// no Atom per occurrence); existential rules and the interpretive path
-/// fall back to per-binding HandleBinding. Shared by the sequential
-/// vectorized round and the parallel engine's shard tasks.
+/// Enumerates rule `ri` with delta anchor `di` over `bands` through the
+/// run's compiled plan into the vectorized sink: datalog rules ground
+/// their heads block-at-a-time straight from the executor's slot blocks
+/// (no Binding, no Atom per occurrence); existential rules go through
+/// per-binding HandleBinding. Shared by the serial round and the parallel
+/// round's shard tasks.
 void EnumerateAnchorVectorized(const RoundInputs& in, size_t ri, size_t di,
                                const std::vector<RowBand>& bands,
                                const Matcher& witness, VectorSink* sink,
                                MatchStats* match_stats);
 
-/// Sequential enumeration of one round into `buf`: delta-anchored
-/// (ChaseEngine::kDelta) or full re-enumeration (kNaive). Delta rounds
-/// route through the vectorized sink when options.vectorized_sink is set;
-/// kNaive always uses the per-binding hash sink (the A/B reference).
-void EnumerateRoundSequential(const RoundInputs& in, bool delta,
-                              RoundBuffer* buf);
+/// The engine's serial round (ChaseEngine::kParallel at one thread):
+/// delta-anchored compiled plans into one vectorized sink.
+void EnumerateRoundSequential(const RoundInputs& in, RoundBuffer* buf);
+
+/// kNaive's round: full re-enumeration of every rule body through the
+/// interpretive Matcher into the per-binding hash sink — the independent
+/// reference the differential tests compare the engine against.
+void EnumerateRoundNaive(const RoundInputs& in, RoundBuffer* buf);
 
 /// Applies a completed round's buffer in canonical order: datalog
 /// additions sorted by (pred, args), then triggers in key order, inventing

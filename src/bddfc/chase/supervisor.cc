@@ -5,6 +5,7 @@
 #include <memory>
 #include <thread>
 
+#include "bddfc/base/thread_pool.h"
 #include "bddfc/obs/metrics.h"
 #include "bddfc/obs/trace.h"
 
@@ -12,8 +13,9 @@ namespace bddfc {
 namespace {
 
 /// One rung of the degradation ladder: a label for reports plus the
-/// option it turns off. Rungs apply cumulatively, most-likely-culprit
-/// first (the newest fast paths), and each preserves byte-identity.
+/// option change it applies. Rungs apply cumulatively, most-likely-culprit
+/// first (the thread pool, then every fast path at once), and each
+/// preserves byte-identity.
 struct Rung {
   const char* name;
   void (*apply)(ChaseOptions*);
@@ -21,19 +23,16 @@ struct Rung {
 
 std::vector<Rung> BuildLadder(const ChaseOptions& options) {
   std::vector<Rung> rungs;
-  const bool fast_paths = options.engine != ChaseEngine::kNaive;
-  if (fast_paths && options.compiled_plans) {
-    rungs.push_back({"plans-off",
-                     [](ChaseOptions* o) { o->compiled_plans = false; }});
+  if (options.engine == ChaseEngine::kNaive) return rungs;
+  const size_t threads =
+      options.threads != 0 ? options.threads : ThreadPool::DefaultThreads();
+  if (threads > 1) {
+    rungs.push_back({"serial", [](ChaseOptions* o) { o->threads = 1; }});
   }
-  if (fast_paths && options.vectorized_sink) {
-    rungs.push_back({"vsink-off",
-                     [](ChaseOptions* o) { o->vectorized_sink = false; }});
-  }
-  if (options.engine == ChaseEngine::kParallel) {
-    rungs.push_back(
-        {"serial", [](ChaseOptions* o) { o->engine = ChaseEngine::kDelta; }});
-  }
+  // The reference engine: interpretive Matcher and hash sink, no compiled
+  // plans, no vectorized sink, no sorted-index refresh.
+  rungs.push_back(
+      {"naive", [](ChaseOptions* o) { o->engine = ChaseEngine::kNaive; }});
   return rungs;
 }
 

@@ -5,10 +5,13 @@
 // when an attempt fails with kInternal (an injected FaultRegistry fault or
 // a paranoia invariant trip — never a budget exhaustion and never a
 // semantic error), retries it under progressively more conservative
-// configurations: compiled plans fall back to the interpretive Matcher,
-// the vectorized sink to the hash sink, the parallel engine to the serial
-// delta engine. Every engine configuration is byte-identical by contract,
-// so degrading never changes the answer — only the speed.
+// configurations: a multi-threaded run falls back to the serial round,
+// then the engine falls back to kNaive — the interpretive Matcher and the
+// hash sink, with no compiled plans, vectorized sink or index refresh.
+// Every configuration is byte-identical by contract (rows, raw TermIds,
+// provenance, per-round growth, dedup counters), so degrading never
+// changes the answer — only the speed, and under kNaive the effort
+// counters (bindings tried, index probes, sink counters).
 //
 // Isolation per attempt:
 //   * each attempt runs under a fresh child context, so its fault latch
@@ -67,9 +70,9 @@ struct SupervisedChase {
   ChaseResult result;
   /// Attempts executed (1 = no retry was needed).
   size_t attempts = 0;
-  /// Degradation-ladder rungs applied, in order ("plans-off",
-  /// "vsink-off", "serial"). Empty when the original configuration
-  /// recovered on its own.
+  /// Degradation-ladder rungs applied, in order ("serial" when the run
+  /// resolved to more than one thread, then "naive"). Empty when the
+  /// original configuration recovered on its own.
   std::vector<std::string> degradations;
   /// True when a retry (not the first attempt) produced the final OK or
   /// budget-exhausted result.

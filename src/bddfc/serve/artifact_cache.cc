@@ -167,6 +167,17 @@ ArtifactCache::Outcome ArtifactCache::GetOrCompile(
     std::lock_guard<std::mutex> lock(inflight_mu_);
     auto it = inflight_.find(key);
     if (it == inflight_.end()) {
+      // Re-check under inflight_mu_: a leader admits its artifact before
+      // it erases its slot (below, also under inflight_mu_), so a
+      // requester that missed Find above just before the admission and
+      // got here just after the erase finds the artifact now instead of
+      // compiling it a second time. Lock order is inflight_mu_ then
+      // cache_mu_; no path takes them the other way round.
+      if (std::shared_ptr<Artifact> cached = Find(key)) {
+        out.artifact = std::move(cached);
+        out.hit = true;
+        return out;
+      }
       flight = std::make_shared<Inflight>();
       inflight_.emplace(key, flight);
       is_leader = true;

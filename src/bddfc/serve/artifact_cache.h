@@ -13,7 +13,11 @@
 //     across a compile);
 //   * compiles are single-flight: concurrent first loads of one key elect
 //     one compiling request, the rest block on its completion and share
-//     the result — the chase never runs twice for one key;
+//     the result — the chase never runs twice for one key while its
+//     artifact stays cached. A would-be leader re-checks the cache under
+//     the in-flight mutex, so a request that races the leader's
+//     admit-then-release finds the artifact instead of compiling again.
+//     Lock order: in-flight mutex, then cache mutex — never the reverse;
 //   * query-time signature mutation is confined per artifact (see
 //     Artifact::mu): each artifact owns its Signature outright, so two
 //     sessions querying DIFFERENT artifacts never contend, and two

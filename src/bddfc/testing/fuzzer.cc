@@ -15,6 +15,20 @@ void Log(const FuzzOptions& options, const std::string& line) {
 
 }  // namespace
 
+std::string SkipReasonKey(const std::string& detail) {
+  std::string key;
+  key.reserve(detail.size());
+  for (char c : detail) {
+    const bool digit = c >= '0' && c <= '9';
+    if (!digit) {
+      key += c;
+    } else if (key.empty() || key.back() != '#') {
+      key += '#';
+    }
+  }
+  return key;
+}
+
 FuzzReport RunFuzzer(const FuzzOptions& options) {
   FuzzReport report;
 
@@ -63,6 +77,7 @@ FuzzReport RunFuzzer(const FuzzOptions& options) {
         case OracleOutcome::Kind::kSkip:
           ++report.checks_skipped;
           ++report.skips_by_oracle[name];
+          ++report.skip_reasons_by_oracle[name][SkipReasonKey(outcome.detail)];
           break;
         case OracleOutcome::Kind::kFail: {
           Log(options, "FAIL " + name + " seed=" +

@@ -62,11 +62,19 @@ struct FuzzReport {
   /// ever skips).
   std::map<std::string, size_t> passes_by_oracle;
   std::map<std::string, size_t> skips_by_oracle;
+  /// Per-oracle skip counts by reason (SkipReasonKey of the skip text), so
+  /// a mostly-skipping oracle says why it decided nothing.
+  std::map<std::string, std::map<std::string, size_t>> skip_reasons_by_oracle;
   std::map<std::string, size_t> runs_by_family;
   std::vector<FuzzFailure> failures;
 
   bool ok() const { return failures.empty(); }
 };
+
+/// Groups a skip's detail text: every run of digits becomes '#', so
+/// reasons that only differ in a budget value or round number (the
+/// pipeline's "... at round 5") count as one.
+std::string SkipReasonKey(const std::string& detail);
 
 /// Runs one campaign. Deterministic given (seed, runs, oracle selection)
 /// except for the time budget cutoff.

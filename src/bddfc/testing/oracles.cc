@@ -42,43 +42,17 @@ std::map<PredId, std::vector<int>> BirthRoundsByPredicate(
 }
 
 // ---------------------------------------------------------------------------
-// chase-agreement: the delta and parallel round loops (restricted and
-// oblivious, compiled plans on and off, every thread count) must produce
-// chases identical to the naive baseline; fixpoints must satisfy the
-// theory.
+// chase-agreement: the engine (restricted and oblivious, at every thread
+// count) must produce chases identical to the naive baseline; fixpoints
+// must satisfy the theory.
 // ---------------------------------------------------------------------------
 
-/// Engine configurations under test against the kNaive baseline: the delta
-/// loop plus the parallel engine at each thread count of interest
-/// (threads=1 exercises the serial-route fallback), each with compiled
-/// plans on and off and the vectorized round sink on and off.
-struct EngineConfig {
-  ChaseEngine engine;
-  size_t threads;
-  bool plans;
-  bool vsink = true;
-};
+/// Thread counts the engine runs at against the kNaive baseline
+/// (threads=1 is the serial round, the rest the sharded parallel round).
+constexpr size_t kEngineThreads[] = {1, 2, 4, 8};
 
-std::vector<EngineConfig> DeltaFamilyConfigs() {
-  std::vector<EngineConfig> out;
-  for (bool vsink : {true, false}) {
-    for (bool plans : {true, false}) {
-      out.push_back({ChaseEngine::kDelta, 0, plans, vsink});
-      for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
-        out.push_back({ChaseEngine::kParallel, threads, plans, vsink});
-      }
-    }
-  }
-  return out;
-}
-
-std::string ConfigLabel(const EngineConfig& ec) {
-  std::string s = ec.engine == ChaseEngine::kDelta
-                      ? std::string("delta")
-                      : "parallel t" + std::to_string(ec.threads);
-  s += ec.plans ? " plans" : " interp";
-  s += ec.vsink ? " vsink" : " hashsink";
-  return s;
+std::string ThreadsLabel(size_t threads) {
+  return "engine t" + std::to_string(threads);
 }
 
 class ChaseAgreementOracle : public Oracle {
@@ -98,23 +72,21 @@ class ChaseAgreementOracle : public Oracle {
       opts.paranoia = ParanoiaLevel::kOff;
       ChaseResult naive = RunChase(s.theory, s.instance, opts);
 
-      // The injected fault (the fuzzer's self-test) rides on the engines
+      // The injected fault (the fuzzer's self-test) rides on the engine
       // under test, never on the baseline. (kNaive keeps the hash sink, so
       // the baseline is also immune to kSinkDropDup by construction.)
-      // Paranoia likewise guards only the engines under test: a corruption
+      // Paranoia likewise guards only the engine under test: a corruption
       // its checks catch becomes a kInternal status divergence here.
-      for (const EngineConfig& ec : DeltaFamilyConfigs()) {
-        opts.engine = ec.engine;
+      for (size_t threads : kEngineThreads) {
+        opts.engine = ChaseEngine::kParallel;
         opts.fault = config.chase_fault;
         opts.paranoia = config.paranoia;
-        opts.threads = ec.threads;
-        opts.compiled_plans = ec.plans;
-        opts.vectorized_sink = ec.vsink;
+        opts.threads = threads;
         ChaseResult run = RunChase(s.theory, s.instance, opts);
 
         std::string mode = std::string(oblivious ? "[oblivious " :
                                                    "[restricted ") +
-                           ConfigLabel(ec) + "] ";
+                           ThreadsLabel(threads) + "] ";
         if (run.status.code() != naive.status.code()) {
           return OracleOutcome::Fail(mode + Mismatch("status",
                                                      run.status.ToString(),
@@ -452,33 +424,22 @@ class GovernorPrefixOracle : public Oracle {
     base.max_facts = config.max_facts;
     ChaseResult baseline = RunChase(s.theory, s.instance, base);
 
-    // Plans on/off changes where cooperative checks land (plan blocks vs
-    // interpreter strides), so the prefix contract is probed for both; the
-    // sink axis rides along because a cancellation that fires mid-round
-    // must discard the vectorized sink's buffered (incomplete) round too.
+    // The serial and the sharded round land their cooperative checks in
+    // different places (one sink vs per-shard sinks and a barrier merge),
+    // so the prefix contract is probed for both: a cancellation that fires
+    // mid-round must discard either round's buffered (incomplete) output.
     bool tripped_any = false;
-    for (const EngineConfig& ec :
-         {EngineConfig{ChaseEngine::kDelta, 0, true, true},
-          EngineConfig{ChaseEngine::kDelta, 0, true, false},
-          EngineConfig{ChaseEngine::kDelta, 0, false, true},
-          EngineConfig{ChaseEngine::kDelta, 0, false, false},
-          EngineConfig{ChaseEngine::kParallel, 4, true, true},
-          EngineConfig{ChaseEngine::kParallel, 4, true, false},
-          EngineConfig{ChaseEngine::kParallel, 4, false, true},
-          EngineConfig{ChaseEngine::kParallel, 4, false, false}}) {
+    for (size_t threads : {size_t{1}, size_t{4}}) {
     for (size_t after : {size_t{1}, size_t{3}, size_t{7}}) {
       ExecutionContext ctx;
       ctx.InjectFaultAfterChecks(config.inject_fault, after);
       ChaseOptions opts = base;
       opts.context = &ctx;
-      opts.engine = ec.engine;
-      opts.threads = ec.threads;
-      opts.compiled_plans = ec.plans;
-      opts.vectorized_sink = ec.vsink;
+      opts.threads = threads;
       // kTornExhaust rides along so the torn-prefix path has a detector.
       opts.fault = config.chase_fault;
       ChaseResult run = RunChase(s.theory, s.instance, opts);
-      std::string t = "[" + ConfigLabel(ec) + "] after " +
+      std::string t = "[" + ThreadsLabel(threads) + "] after " +
                       std::to_string(after) + " checks: ";
 
       if (run.status.ok() ||
@@ -557,14 +518,18 @@ class GovernorPrefixOracle : public Oracle {
 /// Byte-exact dump of everything the recovery contract covers. Mirrors
 /// chase_ab_test's ExactDump: raw TermIds (not names), so it only compares
 /// runs whose signatures interned identically — which the per-run
-/// CloneScenario below guarantees.
-std::string ExactChaseDump(const ChaseResult& r) {
+/// CloneScenario below guarantees. `with_bindings` adds bindings_tried,
+/// an effort counter the naive rung legitimately changes (it re-enumerates
+/// every round).
+std::string ExactChaseDump(const ChaseResult& r, bool with_bindings) {
   std::string s;
   s += "status=" + r.status.ToString() + " fixpoint=";
   s += r.fixpoint_reached ? '1' : '0';
   s += " rounds=" + std::to_string(r.rounds_run);
   s += " nulls=" + std::to_string(r.nulls_created);
-  s += " bindings=" + std::to_string(r.stats.match.bindings_tried);
+  if (with_bindings) {
+    s += " bindings=" + std::to_string(r.stats.match.bindings_tried);
+  }
   s += " tdedup=" + std::to_string(r.stats.triggers_deduped);
   s += " ddedup=" + std::to_string(r.stats.datalog_deduped);
   s += "\nfacts_per_round:";
@@ -611,8 +576,13 @@ class ChaosRecoveryOracle : public Oracle {
 
     // Every run (reference and chaos) chases its own print+parse clone:
     // cloning interns identically, so invented nulls land on the same raw
-    // TermIds in every run and the dumps compare as plain bytes.
-    auto run_plan = [&](const FaultPlan* plan, std::string* dump) -> Status {
+    // TermIds in every run and the dumps compare as plain bytes. A run
+    // that recovered on the naive rung is compared without bindings_tried
+    // (`ref_semantic`); every other run byte for byte against `ref`.
+    std::string ref;
+    std::string ref_semantic;
+    auto run_plan = [&](const FaultPlan* plan, std::string* dump,
+                        const std::string** want) -> Status {
       Result<Scenario> c = CloneScenario(s);
       if (!c.ok()) return c.status();
       FaultRegistry reg;
@@ -625,12 +595,18 @@ class ChaosRecoveryOracle : public Oracle {
       sup.context = &parent;
       SupervisedChase out =
           RunChaseSupervised(c.value().theory, c.value().instance, opts, sup);
-      *dump = ExactChaseDump(out.result);
+      const bool naive =
+          std::find(out.degradations.begin(), out.degradations.end(),
+                    "naive") != out.degradations.end();
+      *dump = ExactChaseDump(out.result, /*with_bindings=*/!naive);
+      if (want != nullptr) *want = naive ? &ref_semantic : &ref;
+      if (plan == nullptr) {
+        ref_semantic = ExactChaseDump(out.result, /*with_bindings=*/false);
+      }
       return Status::OK();
     };
 
-    std::string ref;
-    if (Status st = run_plan(nullptr, &ref); !st.ok()) {
+    if (Status st = run_plan(nullptr, &ref, nullptr); !st.ok()) {
       return OracleOutcome::Skip("clone failed: " + st.ToString());
     }
 
@@ -639,10 +615,11 @@ class ChaosRecoveryOracle : public Oracle {
           (config.chaos_seed ^ s.seed) + 0x9e3779b97f4a7c15ull * (k + 1);
       FaultPlan plan = RandomFaultPlan(plan_seed);
       std::string dump;
-      if (Status st = run_plan(&plan, &dump); !st.ok()) {
+      const std::string* want = nullptr;
+      if (Status st = run_plan(&plan, &dump, &want); !st.ok()) {
         return OracleOutcome::Skip("clone failed: " + st.ToString());
       }
-      if (dump == ref) continue;
+      if (dump == *want) continue;
 
       // ddmin the plan (greedy single-spec drops to a fixpoint) so the
       // failure names the smallest sub-plan that still breaks recovery.
@@ -656,8 +633,9 @@ class ChaosRecoveryOracle : public Oracle {
             if (j != i) cand.faults.push_back(min.faults[j]);
           }
           std::string d;
-          if (!run_plan(&cand, &d).ok()) continue;
-          if (d != ref) {
+          const std::string* w = nullptr;
+          if (!run_plan(&cand, &d, &w).ok()) continue;
+          if (d != *w) {
             min = std::move(cand);
             shrunk = true;
             break;
@@ -665,12 +643,15 @@ class ChaosRecoveryOracle : public Oracle {
         }
       }
       size_t at = 0;
-      while (at < dump.size() && at < ref.size() && dump[at] == ref[at]) ++at;
+      while (at < dump.size() && at < want->size() &&
+             dump[at] == (*want)[at]) {
+        ++at;
+      }
       return OracleOutcome::Fail(
           "chaos plan (seed " + std::to_string(plan_seed) +
           ") did not recover byte-identically (first divergence at byte " +
           std::to_string(at) + ")\n--- minimized plan ---\n" + min.ToString() +
-          "--- fault-free ---\n" + ref + "--- chaos ---\n" + dump);
+          "--- fault-free ---\n" + *want + "--- chaos ---\n" + dump);
     }
     return OracleOutcome::Pass();
   }

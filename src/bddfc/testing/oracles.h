@@ -39,8 +39,9 @@ struct OracleConfig {
                          .max_hom_checks = 30000};
   /// Thread counts the determinism oracle compares against threads=1.
   std::vector<size_t> determinism_threads = {4};
-  /// Fault injected into the *delta* chase run of the chase-agreement
-  /// oracle (the fuzzer's self-test); kNone in normal operation.
+  /// Fault injected into the engine runs (never the naive baseline) of the
+  /// chase-agreement oracle (the fuzzer's self-test); kNone in normal
+  /// operation.
   /// kTornExhaust instead targets the governor-prefix oracle: the governed
   /// chase applies a torn round on exhaustion, which that oracle must
   /// flag as a prefix-consistency violation.

@@ -1,13 +1,13 @@
-// A/B equivalence suite: the delta-driven and parallel sharded chase
-// engines must produce the same result as the seed naive
-// full-re-enumeration loop — same facts, same per-round growth, same
-// nulls, same fixpoint verdict — on every workload generator family and
-// every paper-example program. The parallel engine is additionally held
-// to *byte identity* with kDelta (row order, raw TermIds, provenance) at
-// 1, 2, 4 and 8 threads — and, since the compiled join backend landed,
-// with query plans on and off: the interpretive Matcher (plans off) is
-// the reference, so the identity sweep cross-validates the plan executor
-// against it on every workload here.
+// A/B equivalence suite: the chase engine (ChaseEngine::kParallel, serial
+// round at one thread, sharded rounds above) must produce the same result
+// as the seed naive full-re-enumeration loop — same facts, same per-round
+// growth, same nulls, same fixpoint verdict — on every workload generator
+// family and every paper-example program. The engine is additionally held
+// to *byte identity* (row order, raw TermIds, provenance, dedup counters)
+// with kNaive at 1, 2, 4 and 8 threads. kNaive runs the interpretive
+// Matcher and the per-binding hash sink, so the identity sweep
+// cross-validates the plan executor and the vectorized sink against an
+// independent implementation on every workload here.
 
 #include <gtest/gtest.h>
 
@@ -42,8 +42,8 @@ std::map<PredId, std::vector<int>> BirthRoundsByPredicate(
   return out;
 }
 
-/// Runs the delta and parallel engines against the naive baseline with
-/// identical options and asserts equivalence for each.
+/// Runs the engine at one and four threads against the naive baseline
+/// with identical options and asserts equivalence for each.
 /// `check_isomorphism` additionally requires homomorphisms both ways
 /// (exact up to null renaming); keep it off for large random structures
 /// where the whole-structure CQ gets expensive.
@@ -52,12 +52,11 @@ void ExpectEnginesAgree(const Theory& theory, const Structure& instance,
   options.engine = ChaseEngine::kNaive;
   ChaseResult naive = RunChase(theory, instance, options);
 
-  for (ChaseEngine engine : {ChaseEngine::kDelta, ChaseEngine::kParallel}) {
-    options.engine = engine;
-    options.threads = engine == ChaseEngine::kParallel ? 4 : 0;
+  options.engine = ChaseEngine::kParallel;
+  for (size_t threads : {1u, 4u}) {
+    options.threads = threads;
     ChaseResult got = RunChase(theory, instance, options);
-    const char* label =
-        engine == ChaseEngine::kParallel ? "parallel" : "delta";
+    const std::string label = "threads=" + std::to_string(threads);
 
     EXPECT_EQ(got.structure.NumFacts(), naive.structure.NumFacts()) << label;
     EXPECT_EQ(got.facts_per_round, naive.facts_per_round) << label;
@@ -75,16 +74,21 @@ void ExpectEnginesAgree(const Theory& theory, const Structure& instance,
 }
 
 /// Serializes everything the determinism contract covers: rows in append
-/// order with raw TermIds, per-round growth, null provenance and fact
-/// birth rounds. Two runs with equal dumps are byte-identical — same row
-/// order, same null *names*, not just isomorphic.
-std::string ExactDump(const ChaseResult& r) {
+/// order with raw TermIds, per-round growth, null provenance, fact birth
+/// rounds and the dedup counters. Two runs with equal dumps are
+/// byte-identical — same row order, same null *names*, not just
+/// isomorphic. `with_bindings` adds bindings_tried, the one effort counter
+/// in the dump: equal at every thread count, but kNaive re-enumerates every
+/// round, so comparisons against it leave it out.
+std::string ExactDump(const ChaseResult& r, bool with_bindings = true) {
   std::string s;
   s += "status=" + r.status.ToString() + " fixpoint=";
   s += r.fixpoint_reached ? '1' : '0';
   s += " rounds=" + std::to_string(r.rounds_run);
   s += " nulls=" + std::to_string(r.nulls_created);
-  s += " bindings=" + std::to_string(r.stats.match.bindings_tried);
+  if (with_bindings) {
+    s += " bindings=" + std::to_string(r.stats.match.bindings_tried);
+  }
   s += " tdedup=" + std::to_string(r.stats.triggers_deduped);
   s += " ddedup=" + std::to_string(r.stats.datalog_deduped);
   s += "\nfacts_per_round:";
@@ -120,45 +124,33 @@ std::string ExactDump(const ChaseResult& r) {
   return s;
 }
 
-/// The delta-family engines' core contract: byte-identical output across
-/// kDelta/kParallel, every thread count, compiled plans on/off, and the
-/// vectorized round sink on/off. The reference run is kDelta on the
-/// interpretive Matcher with the per-binding hash sink (plans off, sink
-/// off), so every comparison against a plans-on run doubles as an A/B
-/// check of the plan executor, and every vsink-on run as an A/B check of
-/// the sort-dedup sink — dedup counters included (they are part of the
-/// dump). `make` must build a fresh Program per call — runs share a
-/// Signature otherwise, and the nulls the first run interns would shift
-/// the TermIds of the second.
+/// The engine's core contract: byte-identical output at 1, 2, 4 and 8
+/// threads, and — bindings_tried aside — byte-identical to kNaive, the
+/// interpretive Matcher with the per-binding hash sink. Every comparison
+/// is therefore an A/B check of the plan executor and of the sort-dedup
+/// sink, dedup counters included (they are part of the dump). `make` must
+/// build a fresh Program per call — runs share a Signature otherwise, and
+/// the nulls the first run interns would shift the TermIds of the second.
 void ExpectByteIdentical(const std::function<Program()>& make,
                          ChaseOptions options) {
-  options.engine = ChaseEngine::kDelta;
-  options.compiled_plans = false;
-  options.vectorized_sink = false;
-  Program ref_program = make();
-  const std::string ref =
-      ExactDump(RunChase(ref_program.theory, ref_program.instance, options));
-  for (bool vsink : {true, false}) {
-    for (bool plans : {true, false}) {
-      {
-        Program p = make();
-        ChaseOptions o = options;
-        o.compiled_plans = plans;
-        o.vectorized_sink = vsink;
-        EXPECT_EQ(ExactDump(RunChase(p.theory, p.instance, o)), ref)
-            << "delta plans=" << plans << " vsink=" << vsink;
-      }
-      for (size_t threads : {1u, 2u, 4u, 8u}) {
-        Program p = make();
-        ChaseOptions o = options;
-        o.engine = ChaseEngine::kParallel;
-        o.threads = threads;
-        o.compiled_plans = plans;
-        o.vectorized_sink = vsink;
-        EXPECT_EQ(ExactDump(RunChase(p.theory, p.instance, o)), ref)
-            << "threads=" << threads << " plans=" << plans
-            << " vsink=" << vsink;
-      }
+  options.engine = ChaseEngine::kNaive;
+  Program naive_program = make();
+  const std::string naive = ExactDump(
+      RunChase(naive_program.theory, naive_program.instance, options),
+      /*with_bindings=*/false);
+  options.engine = ChaseEngine::kParallel;
+  std::string serial;
+  for (size_t threads : {1u, 2u, 4u, 8u}) {
+    Program p = make();
+    ChaseOptions o = options;
+    o.threads = threads;
+    const ChaseResult r = RunChase(p.theory, p.instance, o);
+    EXPECT_EQ(ExactDump(r, /*with_bindings=*/false), naive)
+        << "threads=" << threads << " vs naive";
+    if (threads == 1) {
+      serial = ExactDump(r);
+    } else {
+      EXPECT_EQ(ExactDump(r), serial) << "threads=" << threads << " vs 1";
     }
   }
 }
@@ -395,52 +387,54 @@ TEST(ChaseParallelIdentity, DivergentRunCutByRoundBudget) {
 // ---------------------------------------------------------------------------
 
 TEST(ChaseParallelStats, ReportedRoundTimesStayUnderMeasuredWallClock) {
-  for (bool vsink : {true, false}) {
-    for (size_t threads : {1u, 4u, 8u}) {
-      auto sig = std::make_shared<Signature>();
-      Structure d = RandomGraph(sig, /*nodes=*/18, /*edges=*/48, /*seed=*/5);
-      PredId e0 = std::move(sig->FindPredicate("e0")).ValueOrDie();
-      Theory t(sig);
-      TermId x = MakeVar(0), y = MakeVar(1), z = MakeVar(2);
-      ASSERT_TRUE(t.AddRule(Rule({Atom(e0, {x, y}), Atom(e0, {y, z})},
-                                 {Atom(e0, {x, z})}))
-                      .ok());
-      ChaseOptions o;
-      o.max_rounds = 64;
-      o.engine = ChaseEngine::kParallel;
-      o.threads = threads;
-      o.vectorized_sink = vsink;
+  const std::pair<ChaseEngine, size_t> configs[] = {
+      {ChaseEngine::kNaive, 1},    {ChaseEngine::kParallel, 1},
+      {ChaseEngine::kParallel, 2}, {ChaseEngine::kParallel, 4},
+      {ChaseEngine::kParallel, 8}};
+  for (const auto& [engine, threads] : configs) {
+    auto sig = std::make_shared<Signature>();
+    Structure d = RandomGraph(sig, /*nodes=*/18, /*edges=*/48, /*seed=*/5);
+    PredId e0 = std::move(sig->FindPredicate("e0")).ValueOrDie();
+    Theory t(sig);
+    TermId x = MakeVar(0), y = MakeVar(1), z = MakeVar(2);
+    ASSERT_TRUE(t.AddRule(Rule({Atom(e0, {x, y}), Atom(e0, {y, z})},
+                               {Atom(e0, {x, z})}))
+                    .ok());
+    ChaseOptions o;
+    o.max_rounds = 64;
+    o.engine = engine;
+    o.threads = threads;
 
-      const auto wall_start = std::chrono::steady_clock::now();
-      ChaseResult r = RunChase(t, d, o);
-      const double wall_ms = std::chrono::duration<double, std::milli>(
-                                 std::chrono::steady_clock::now() - wall_start)
-                                 .count();
+    const auto wall_start = std::chrono::steady_clock::now();
+    ChaseResult r = RunChase(t, d, o);
+    const double wall_ms = std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - wall_start)
+                               .count();
 
-      ASSERT_TRUE(r.status.ok()) << r.status.ToString();
-      EXPECT_TRUE(r.fixpoint_reached);
-      // Same stats shape as the sequential engines: one entry per executed
-      // round plus the final (empty) fixpoint round.
-      EXPECT_EQ(r.stats.round_ms.size(), r.rounds_run + 1)
-          << "threads=" << threads << " vsink=" << vsink;
-      // Rounds are disjoint sub-intervals of the run: with shard times
-      // max-merged their sum is bounded by the wall clock. A sum-merge
-      // would overshoot on any multi-core box. Small slack for clock
-      // granularity.
-      const double reported = std::accumulate(r.stats.round_ms.begin(),
-                                              r.stats.round_ms.end(), 0.0);
-      EXPECT_LE(reported, wall_ms + 0.5)
-          << "threads=" << threads << " vsink=" << vsink;
-    }
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+    EXPECT_TRUE(r.fixpoint_reached);
+    // Same stats shape at every thread count: one entry per executed round
+    // plus the final (empty) fixpoint round.
+    const std::string label =
+        (engine == ChaseEngine::kNaive ? "naive" : "engine") +
+        std::string(" threads=") + std::to_string(threads);
+    EXPECT_EQ(r.stats.round_ms.size(), r.rounds_run + 1) << label;
+    // Rounds are disjoint sub-intervals of the run: with shard times
+    // max-merged their sum is bounded by the wall clock. A sum-merge
+    // would overshoot on any multi-core box. Small slack for clock
+    // granularity.
+    const double reported = std::accumulate(r.stats.round_ms.begin(),
+                                            r.stats.round_ms.end(), 0.0);
+    EXPECT_LE(reported, wall_ms + 0.5) << label;
   }
 }
 
 // ---------------------------------------------------------------------------
 // Vectorized-sink counter parity: the deterministic sink counters
 // (candidates buffered, occurrences dropped by bulk containment) must be
-// identical across engines, thread counts, and plan modes — only
-// sink_probes may vary (compaction boundaries move with sharding). With
-// the sink off they must all stay zero.
+// identical at every thread count — only sink_probes may vary (compaction
+// boundaries move with sharding). Under kNaive (hash sink) they must all
+// stay zero while the dedup counter still agrees.
 // ---------------------------------------------------------------------------
 
 TEST(ChaseSinkStats, SinkCountersAreEngineAndThreadInvariant) {
@@ -461,7 +455,7 @@ TEST(ChaseSinkStats, SinkCountersAreEngineAndThreadInvariant) {
   ChaseOptions base;
   base.max_rounds = 64;
 
-  ChaseResult ref = RunChase(t, ref_d, base);  // kDelta, vsink on (default)
+  ChaseResult ref = RunChase(t, ref_d, base);  // the engine at one thread
   ASSERT_TRUE(ref.status.ok());
   EXPECT_GT(ref.stats.sink_candidates, 0u);
   // Conservation: every candidate is contained, deduped, or a new fact.
@@ -469,26 +463,22 @@ TEST(ChaseSinkStats, SinkCountersAreEngineAndThreadInvariant) {
                 ref.stats.datalog_deduped,
             ref.structure.NumFacts() - ref_d.NumFacts());
 
-  for (bool plans : {true, false}) {
-    for (size_t threads : {1u, 2u, 4u, 8u}) {
-      ChaseOptions o = base;
-      o.engine = ChaseEngine::kParallel;
-      o.threads = threads;
-      o.compiled_plans = plans;
-      ChaseResult r = RunChase(t, ref_d, o);
-      ASSERT_TRUE(r.status.ok());
-      EXPECT_EQ(r.stats.sink_candidates, ref.stats.sink_candidates)
-          << "threads=" << threads << " plans=" << plans;
-      EXPECT_EQ(r.stats.sink_contained, ref.stats.sink_contained)
-          << "threads=" << threads << " plans=" << plans;
-      EXPECT_EQ(r.stats.datalog_deduped, ref.stats.datalog_deduped)
-          << "threads=" << threads << " plans=" << plans;
-    }
+  for (size_t threads : {2u, 4u, 8u}) {
+    ChaseOptions o = base;
+    o.threads = threads;
+    ChaseResult r = RunChase(t, ref_d, o);
+    ASSERT_TRUE(r.status.ok());
+    EXPECT_EQ(r.stats.sink_candidates, ref.stats.sink_candidates)
+        << "threads=" << threads;
+    EXPECT_EQ(r.stats.sink_contained, ref.stats.sink_contained)
+        << "threads=" << threads;
+    EXPECT_EQ(r.stats.datalog_deduped, ref.stats.datalog_deduped)
+        << "threads=" << threads;
   }
 
-  ChaseOptions off = base;
-  off.vectorized_sink = false;
-  ChaseResult r = RunChase(t, ref_d, off);
+  ChaseOptions naive = base;
+  naive.engine = ChaseEngine::kNaive;
+  ChaseResult r = RunChase(t, ref_d, naive);
   EXPECT_EQ(r.stats.sink_candidates, 0u);
   EXPECT_EQ(r.stats.sink_contained, 0u);
   EXPECT_EQ(r.stats.sink_probes, 0u);

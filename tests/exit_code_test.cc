@@ -82,6 +82,13 @@ TEST(CliExitCodeTest, UsageAndParseErrorsAreTwo) {
   EXPECT_EQ(RunBinary(BDDFC_CLI_PATH, "chase " + prog + " --deadline-ms -5"), 2);
   EXPECT_EQ(RunBinary(BDDFC_CLI_PATH, "chase " + prog + " --mem-budget-mb junk"), 2);
   EXPECT_EQ(RunBinary(BDDFC_CLI_PATH, "chase " + prog + " --paranoia=bogus"), 2);
+  // Unknown engine names and unknown flags are usage errors, not
+  // positional arguments.
+  EXPECT_EQ(
+      RunBinary(BDDFC_CLI_PATH, "chase " + prog + " --chase-engine=delta"), 2);
+  EXPECT_EQ(RunBinary(BDDFC_CLI_PATH, "chase " + prog + " --no-plans"), 2);
+  EXPECT_EQ(RunBinary(BDDFC_CLI_PATH, "chase " + prog + " --no-vector-sink"),
+            2);
 }
 
 TEST(CliExitCodeTest, NegativeSemanticOutcomeIsOne) {

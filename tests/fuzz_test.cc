@@ -165,6 +165,22 @@ TEST(FuzzerTest, MaxFailuresZeroCollectsEverything) {
   EXPECT_GE(report.failures.size(), 2u);
 }
 
+TEST(FuzzerTest, SkipReasonsAreCountedPerOracle) {
+  FuzzOptions options;
+  options.runs = 5;
+  options.oracle = "chaos-recovery";  // skips every run without --chaos
+  FuzzReport report = RunFuzzer(options);
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report.skips_by_oracle["chaos-recovery"], 5u);
+  EXPECT_EQ(
+      report.skip_reasons_by_oracle["chaos-recovery"]["chaos disabled (--chaos)"],
+      5u);
+  // Reasons that differ only in a number count as one.
+  EXPECT_EQ(SkipReasonKey("no certified finite model within budgets (12 "
+                          "attempts)"),
+            "no certified finite model within budgets (# attempts)");
+}
+
 TEST(FuzzerTest, UnknownOracleReportsFailure) {
   FuzzOptions options;
   options.oracle = "no-such-oracle";
@@ -256,8 +272,6 @@ std::string SupervisedDump(const Scenario& s, const FaultSpec* spec,
   opts.max_facts = 20000;
   opts.engine = ChaseEngine::kParallel;
   opts.threads = 4;
-  opts.compiled_plans = true;
-  opts.vectorized_sink = true;
   ExecutionContext ctx;
   FaultRegistry reg;
   if (spec != nullptr) {
@@ -347,7 +361,6 @@ TEST(ParanoiaTest, CheapChecksTurnSinkCorruptionIntoInternalError) {
   auto silent = ParseProgram(kDup);
   ASSERT_TRUE(silent.ok());
   ChaseOptions opts;
-  opts.vectorized_sink = true;
   opts.fault = ChaseFault::kSinkDropDup;
   ChaseResult off =
       RunChase(silent.value().theory, silent.value().instance, opts);

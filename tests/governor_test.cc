@@ -12,7 +12,6 @@
 #include "bddfc/base/thread_pool.h"
 #include "bddfc/base/timescale.h"
 #include "bddfc/chase/chase.h"
-#include "bddfc/chase/seminaive.h"
 #include "bddfc/finitemodel/pipeline.h"
 #include "bddfc/parser/parser.h"
 #include "bddfc/rewrite/rewriter.h"
@@ -341,17 +340,20 @@ TEST(GovernedSaturateTest, InjectedFaultCutsClosureAtCompleteRound) {
   )");
   ExecutionContext ctx;
   ctx.InjectFaultAfterChecks(InjectedFault::kCancel, 1);
-  SaturateOptions opts;
+  ChaseOptions opts;
+  opts.datalog_only = true;
   opts.context = &ctx;
-  SaturateResult r = SaturateDatalog(p.theory, p.instance, opts);
+  ChaseResult r = RunChase(p.theory, p.instance, opts);
   ASSERT_EQ(r.status.code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(r.report.exhausted, ResourceKind::kCancelled);
   // The closure prefix is still closed under "no torn rounds": re-running
   // saturation on the prefix with the same round budget reproduces it.
-  SaturateOptions replay;
+  ChaseOptions replay;
+  replay.datalog_only = true;
   replay.max_rounds = r.rounds_run;
-  SaturateResult again = SaturateDatalog(p.theory, p.instance, replay);
+  ChaseResult again = RunChase(p.theory, p.instance, replay);
   EXPECT_EQ(again.structure.NumFacts(), r.structure.NumFacts());
+  EXPECT_EQ(again.facts_per_round, r.facts_per_round);
 }
 
 // ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@
 // compaction threshold, split across any number of simulated shard
 // tasks, and at any index staleness. The end-to-end half locks the
 // keep-min winner of colliding derivations (null provenance, dedup
-// counters) to the hash sink's, byte for byte.
+// counters) to the hash sink's — kNaive's — byte for byte, at every
+// thread count of the engine.
 
 #include <gtest/gtest.h>
 
@@ -21,7 +22,6 @@
 
 #include "bddfc/chase/chase.h"
 #include "bddfc/chase/round.h"
-#include "bddfc/chase/seminaive.h"
 #include "bddfc/core/structure.h"
 #include "bddfc/parser/parser.h"
 
@@ -464,30 +464,46 @@ std::string Dump(const ChaseResult& r) {
   return os.str();
 }
 
+/// One end-to-end configuration: kNaive (the per-binding hash sink) or the
+/// engine (the vectorized sink) at a thread count.
+struct SinkConfig {
+  const char* label;
+  ChaseEngine engine;
+  size_t threads;
+};
+
+constexpr SinkConfig kSinkConfigs[] = {
+    {"naive", ChaseEngine::kNaive, 1},
+    {"t1", ChaseEngine::kParallel, 1},
+    {"t2", ChaseEngine::kParallel, 2},
+    {"t4", ChaseEngine::kParallel, 4},
+    {"t8", ChaseEngine::kParallel, 8},
+};
+
+ChaseOptions OptionsFor(const SinkConfig& c) {
+  ChaseOptions opts;
+  opts.engine = c.engine;
+  opts.threads = c.threads;
+  return opts;
+}
+
 TEST(SinkEndToEndTest, CollidingExistentialsKeepTheSameWinnerEitherSink) {
   // Two rules demand the same head pattern in the same round; the keep-min
   // contract says rule 0 wins regardless of enumeration order — and the
-  // sort-merge sink must reproduce exactly the hash sinks' winner.
-  for (bool vsink : {true, false}) {
-    for (ChaseEngine engine : {ChaseEngine::kDelta, ChaseEngine::kParallel}) {
-      Program q = MustParse(R"(
-        a(X) -> exists Z: w(X, Z).
-        b(X) -> exists Z: w(X, Z).
-        a(c).
-        b(c).
-      )");
-      ChaseOptions opts;
-      opts.engine = engine;
-      opts.threads = engine == ChaseEngine::kParallel ? 4 : 0;
-      opts.vectorized_sink = vsink;
-      ChaseResult r = RunChase(q.theory, q.instance, opts);
-      ASSERT_TRUE(r.status.ok());
-      EXPECT_EQ(r.nulls_created, 1u);
-      EXPECT_EQ(r.stats.triggers_deduped, 1u);
-      ASSERT_EQ(r.null_provenance.size(), 1u);
-      EXPECT_EQ(r.null_provenance.begin()->second.rule_index, 0)
-          << (vsink ? "vsink" : "hashsink");
-    }
+  // sort-merge sink must reproduce exactly the hash sink's winner.
+  for (const SinkConfig& c : kSinkConfigs) {
+    Program q = MustParse(R"(
+      a(X) -> exists Z: w(X, Z).
+      b(X) -> exists Z: w(X, Z).
+      a(c).
+      b(c).
+    )");
+    ChaseResult r = RunChase(q.theory, q.instance, OptionsFor(c));
+    ASSERT_TRUE(r.status.ok());
+    EXPECT_EQ(r.nulls_created, 1u) << c.label;
+    EXPECT_EQ(r.stats.triggers_deduped, 1u) << c.label;
+    ASSERT_EQ(r.null_provenance.size(), 1u);
+    EXPECT_EQ(r.null_provenance.begin()->second.rule_index, 0) << c.label;
   }
 }
 
@@ -498,16 +514,13 @@ TEST(SinkEndToEndTest, CollidingDatalogHeadsCountOneDedupEitherSink) {
     a(c).
     b(c).
   )");
-  for (bool vsink : {true, false}) {
-    ChaseOptions opts;
-    opts.vectorized_sink = vsink;
-    ChaseResult r = RunChase(p.theory, p.instance, opts);
+  for (const SinkConfig& c : kSinkConfigs) {
+    ChaseResult r = RunChase(p.theory, p.instance, OptionsFor(c));
     ASSERT_TRUE(r.status.ok());
-    EXPECT_EQ(r.stats.datalog_deduped, 1u)
-        << (vsink ? "vsink" : "hashsink");
+    EXPECT_EQ(r.stats.datalog_deduped, 1u) << c.label;
     PredId d = std::move(p.theory.sig().FindPredicate("d")).ValueOrDie();
-    TermId c = std::move(p.theory.sig().FindConstant("c")).ValueOrDie();
-    EXPECT_TRUE(r.structure.Contains(Atom(d, {c})));
+    TermId cc = std::move(p.theory.sig().FindConstant("c")).ValueOrDie();
+    EXPECT_TRUE(r.structure.Contains(Atom(d, {cc})));
   }
 }
 
@@ -527,27 +540,14 @@ TEST(SinkEndToEndTest, ByteIdenticalAcrossSinksOnMixedWorkload) {
     )");
   };
   Program ref_p = make();
-  ChaseOptions base;
-  base.vectorized_sink = false;
-  ChaseResult ref = RunChase(ref_p.theory, ref_p.instance, base);
+  ChaseResult ref =
+      RunChase(ref_p.theory, ref_p.instance, OptionsFor(kSinkConfigs[0]));
   ASSERT_TRUE(ref.status.ok());
-  std::string want = Dump(ref);
-  for (bool vsink : {true, false}) {
-    for (ChaseEngine engine : {ChaseEngine::kDelta, ChaseEngine::kParallel}) {
-      for (bool plans : {true, false}) {
-        Program p = make();
-        ChaseOptions opts;
-        opts.engine = engine;
-        opts.threads = engine == ChaseEngine::kParallel ? 4 : 0;
-        opts.compiled_plans = plans;
-        opts.vectorized_sink = vsink;
-        ChaseResult r = RunChase(p.theory, p.instance, opts);
-        EXPECT_EQ(Dump(r), want)
-            << (vsink ? "vsink" : "hashsink") << ' '
-            << (plans ? "plans" : "interp") << " engine "
-            << static_cast<int>(engine);
-      }
-    }
+  const std::string want = Dump(ref);
+  for (const SinkConfig& c : kSinkConfigs) {
+    Program p = make();
+    ChaseResult r = RunChase(p.theory, p.instance, OptionsFor(c));
+    EXPECT_EQ(Dump(r), want) << c.label;
   }
 }
 
@@ -563,17 +563,16 @@ TEST(SinkEndToEndTest, SinkCountersAccountForEveryCandidate) {
     e(c3, c4).
     e(c4, c0).
   )");
-  ChaseOptions opts;
-  opts.vectorized_sink = true;
-  ChaseResult r = RunChase(p.theory, p.instance, opts);
+  ChaseResult r = RunChase(p.theory, p.instance);
   ASSERT_TRUE(r.status.ok());
   EXPECT_GT(r.stats.sink_candidates, 0u);
   EXPECT_EQ(r.stats.sink_candidates -
                 r.stats.sink_contained - r.stats.datalog_deduped,
             r.structure.NumFacts() - p.instance.NumFacts());
 
-  opts.vectorized_sink = false;
-  ChaseResult off = RunChase(p.theory, p.instance, opts);
+  ChaseOptions naive;
+  naive.engine = ChaseEngine::kNaive;
+  ChaseResult off = RunChase(p.theory, p.instance, naive);
   EXPECT_EQ(off.stats.sink_candidates, 0u);
   EXPECT_EQ(off.stats.sink_contained, 0u);
   EXPECT_EQ(off.stats.sink_probes, 0u);
@@ -584,48 +583,40 @@ TEST(SinkEndToEndTest, SinkCountersAccountForEveryCandidate) {
 }
 
 TEST(SinkEndToEndTest, SaturateClosureIsSinkAndThreadIndependent) {
-  Program p = MustParse(R"(
-    e(X, Y), e(Y, Z) -> e(X, Z).
-    e(X, Y) -> u(X).
-    e(c0, c1).
-    e(c1, c2).
-    e(c2, c0).
-    e(c2, c3).
-  )");
-  SaturateOptions base;
-  base.vectorized_sink = false;
-  SaturateResult ref = SaturateDatalog(p.theory, p.instance, base);
-  ASSERT_TRUE(ref.status.ok());
-  auto rows_of = [](const SaturateResult& r) {
-    std::ostringstream os;
-    for (PredId pr = 0; pr < r.structure.NumStoredPredicates(); ++pr) {
-      for (const auto& row : r.structure.Rows(pr)) {
-        os << pr << ':';
-        for (TermId t : row) os << t << ' ';
-        os << '\n';
-      }
-    }
-    return os.str();
+  // The saturation mode (datalog_only; the existential rule must not
+  // fire): the closure, its growth curve and its dedup counters match the
+  // naive hash-sink run at every thread count, and bindings_tried matches
+  // across the engine's thread counts.
+  auto make = [] {
+    return MustParse(R"(
+      e(X, Y), e(Y, Z) -> e(X, Z).
+      e(X, Y) -> u(X).
+      e(X, Y) -> exists W: e(Y, W).
+      e(c0, c1).
+      e(c1, c2).
+      e(c2, c0).
+      e(c2, c3).
+    )");
   };
-  std::string want = rows_of(ref);
-  for (bool vsink : {true, false}) {
-    for (bool plans : {true, false}) {
-      for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
-        SaturateOptions opts;
-        opts.vectorized_sink = vsink;
-        opts.compiled_plans = plans;
-        opts.threads = threads;
-        SaturateResult r = SaturateDatalog(p.theory, p.instance, opts);
-        std::string label = std::string(vsink ? "vsink " : "hashsink ") +
-                            (plans ? "plans" : "interp") + " t" +
-                            std::to_string(threads);
-        ASSERT_TRUE(r.status.ok()) << label;
-        EXPECT_EQ(rows_of(r), want) << label;
-        EXPECT_EQ(r.rounds_run, ref.rounds_run) << label;
-        EXPECT_EQ(r.facts_derived, ref.facts_derived) << label;
-        EXPECT_EQ(r.bindings_tried, ref.bindings_tried) << label;
-      }
-    }
+  Program ref_p = make();
+  ChaseOptions ref_opts = OptionsFor(kSinkConfigs[0]);
+  ref_opts.datalog_only = true;
+  ChaseResult ref = RunChase(ref_p.theory, ref_p.instance, ref_opts);
+  ASSERT_TRUE(ref.status.ok());
+  ASSERT_TRUE(ref.fixpoint_reached);
+  EXPECT_EQ(ref.nulls_created, 0u);
+  const std::string want = Dump(ref);
+  size_t engine_bindings = 0;
+  for (const SinkConfig& c : kSinkConfigs) {
+    Program p = make();
+    ChaseOptions opts = OptionsFor(c);
+    opts.datalog_only = true;
+    ChaseResult r = RunChase(p.theory, p.instance, opts);
+    ASSERT_TRUE(r.status.ok()) << c.label;
+    EXPECT_EQ(Dump(r), want) << c.label;
+    if (c.engine == ChaseEngine::kNaive) continue;
+    if (engine_bindings == 0) engine_bindings = r.stats.match.bindings_tried;
+    EXPECT_EQ(r.stats.match.bindings_tried, engine_bindings) << c.label;
   }
 }
 

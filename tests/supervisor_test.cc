@@ -1,7 +1,7 @@
 // Tests for the retrying pipeline supervisor (DESIGN.md §2.14): recovery
 // from injected fail-stop faults must be byte-identical to the fault-free
 // run (including invented null TermIds, via signature rollback), the
-// degradation ladder must walk plans-off → vsink-off → serial in order,
+// degradation ladder must walk serial → naive in order,
 // an exhausted retry budget must still return a complete Chase^L prefix
 // under kInternal, backoff must stay inside the parent deadline, and
 // recovered runs must report clean metrics / phase notes (no
@@ -45,8 +45,6 @@ ChaseOptions RichOptions() {
   ChaseOptions o;
   o.engine = ChaseEngine::kParallel;
   o.threads = 4;
-  o.compiled_plans = true;
-  o.vectorized_sink = true;
   return o;
 }
 
@@ -121,7 +119,7 @@ TEST(SupervisorTest, RecoversByteIdenticallyIncludingNullTermIds) {
   EXPECT_EQ(s.attempts, 2u);
   EXPECT_TRUE(s.recovered);
   ASSERT_EQ(s.degradations.size(), 1u);
-  EXPECT_EQ(s.degradations[0], "plans-off");
+  EXPECT_EQ(s.degradations[0], "serial");
   EXPECT_TRUE(s.result.status.ok());
   EXPECT_EQ(Dump(s.result), Dump(plain));
   // The parent context stays clean: the fault tripped only child attempts.
@@ -134,8 +132,9 @@ TEST(SupervisorTest, DegradationLadderWalksEveryRungInOrder) {
   ChaseResult plain = RunChase(a.theory, a.instance, RichOptions());
 
   // Three fires: attempts 1-3 each trip at the first round boundary, so
-  // attempt 4 runs fully degraded (interpretive Matcher, hash sink,
-  // serial engine) and must still be byte-identical.
+  // attempt 2 runs the serial round and attempts 3-4 the naive engine
+  // (interpretive Matcher, hash sink) — the last rung stays applied, and
+  // the recovered run must still be byte-identical.
   Program b = Parse();
   ExecutionContext ctx;
   FaultRegistry reg;
@@ -151,12 +150,30 @@ TEST(SupervisorTest, DegradationLadderWalksEveryRungInOrder) {
 
   EXPECT_EQ(s.attempts, 4u);
   EXPECT_TRUE(s.recovered);
-  ASSERT_EQ(s.degradations.size(), 3u);
-  EXPECT_EQ(s.degradations[0], "plans-off");
-  EXPECT_EQ(s.degradations[1], "vsink-off");
-  EXPECT_EQ(s.degradations[2], "serial");
+  ASSERT_EQ(s.degradations.size(), 2u);
+  EXPECT_EQ(s.degradations[0], "serial");
+  EXPECT_EQ(s.degradations[1], "naive");
   EXPECT_TRUE(s.result.status.ok());
   EXPECT_EQ(Dump(s.result), Dump(plain));
+
+  // A run that already resolves to one thread has no serial rung: its
+  // first retry goes straight to the naive engine.
+  Program c = Parse();
+  ExecutionContext serial_ctx;
+  FaultRegistry serial_reg;
+  serial_reg.Arm({.site = faults::kChaseRound,
+                  .schedule = FaultSchedule::kAfterN,
+                  .n = 0,
+                  .max_fires = 1});
+  serial_ctx.SetFaultRegistry(&serial_reg);
+  sup.context = &serial_ctx;
+  ChaseOptions serial = RichOptions();
+  serial.threads = 1;
+  SupervisedChase t = RunChaseSupervised(c.theory, c.instance, serial, sup);
+  EXPECT_EQ(t.attempts, 2u);
+  ASSERT_EQ(t.degradations.size(), 1u);
+  EXPECT_EQ(t.degradations[0], "naive");
+  EXPECT_EQ(Dump(t.result), Dump(plain));
 }
 
 TEST(SupervisorTest, ExhaustedRetryBudgetReturnsCompletePrefix) {

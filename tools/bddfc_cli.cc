@@ -1,21 +1,19 @@
 // bddfc command-line tool.
 //
 // Usage:
-//   bddfc chase    <program.dlg> [max_rounds] [--chase-engine=delta|naive|
-//                  parallel] [--threads N] [--no-plans] [--no-vector-sink]
+//   bddfc chase    <program.dlg> [max_rounds]
+//                  [--chase-engine=parallel|naive] [--threads N]
 //   bddfc rewrite  <program.dlg> [--threads N] [--no-prune]
 //   bddfc classify <program.dlg> [--threads N] [--no-prune]
 //   bddfc model    <program.dlg>            (Theorem 2 counter-model per query)
 //   bddfc search   <program.dlg> [extra]    (brute-force counter-model)
 //
-// chase runs the selected round engine; --chase-engine=parallel shards
-// each round's delta scans over --threads N workers (default: hardware
-// concurrency) with byte-identical output at any N. --no-plans evaluates
-// rule bodies through the interpretive matcher instead of compiled query
-// plans (the A/B reference path; output is byte-identical either way).
-// --no-vector-sink buffers each round's derivations through the
-// per-binding hash sink instead of the vectorized sort-dedup sink (also
-// byte-identical; the escape hatch for A/B timing and bug isolation).
+// chase runs the selected round engine: parallel (the default) shards each
+// round's delta scans over --threads N workers (default 1, the serial
+// round; 0 = hardware concurrency) with byte-identical output at any N;
+// naive re-enumerates every rule body each round through the interpretive
+// matcher and hash sink — the reference engine, with the same structure
+// and slower, larger effort counters.
 // rewrite rewrites each ?- query and prints the per-level RewriteStats;
 // classify prints class membership + the BDD probe. --threads N fans the
 // independent rewritings of the BDD probe over N workers (the output is
@@ -85,8 +83,7 @@ int Usage() {
   std::fprintf(stderr,
                "usage: bddfc <chase|rewrite|classify|model|search> "
                "<program.dlg> [arg] [--threads N] [--no-prune]\n"
-               "             [--chase-engine=delta|naive|parallel] "
-               "[--no-plans] [--no-vector-sink]\n"
+               "             [--chase-engine=parallel|naive]\n"
                "             [--deadline-ms N] [--mem-budget-mb N]\n"
                "             [--paranoia=off|cheap|full]\n"
                "             [--trace-out=FILE] [--metrics-out=FILE]\n"
@@ -155,14 +152,11 @@ int ExitFor(const Status& status, int ok_code = kExitOk) {
 }
 
 int CmdChase(Program& p, size_t max_rounds, ChaseEngine engine,
-             size_t threads, bool compiled_plans, bool vectorized_sink,
-             ParanoiaLevel paranoia, ExecutionContext* ctx) {
+             size_t threads, ParanoiaLevel paranoia, ExecutionContext* ctx) {
   ChaseOptions opts;
   opts.max_rounds = max_rounds;
   opts.engine = engine;
   opts.threads = threads;
-  opts.compiled_plans = compiled_plans;
-  opts.vectorized_sink = vectorized_sink;
   opts.paranoia = paranoia;
   // Supervised: a paranoia trip (or injected fault, under a test harness)
   // is retried on the degradation ladder before surfacing as an error.
@@ -345,10 +339,8 @@ int main(int argc, char** argv) {
   const char* cmd = argv[1];
   // Flags shared by rewrite/classify; positional extras stay for the rest.
   RewriteOptions ropts;
-  ChaseEngine chase_engine = ChaseEngine::kDelta;
-  size_t chase_threads = 0;
-  bool chase_plans = true;
-  bool chase_vsink = true;
+  ChaseEngine chase_engine = ChaseEngine::kParallel;
+  size_t chase_threads = 1;
   ParanoiaLevel paranoia = ParanoiaLevel::kOff;
   const char* positional = nullptr;
   double deadline_ms = -1;
@@ -361,21 +353,15 @@ int main(int argc, char** argv) {
       chase_threads = ropts.threads;
     } else if (std::strncmp(argv[i], "--chase-engine=", 15) == 0) {
       const char* name = argv[i] + 15;
-      if (std::strcmp(name, "delta") == 0) {
-        chase_engine = ChaseEngine::kDelta;
+      if (std::strcmp(name, "parallel") == 0) {
+        chase_engine = ChaseEngine::kParallel;
       } else if (std::strcmp(name, "naive") == 0) {
         chase_engine = ChaseEngine::kNaive;
-      } else if (std::strcmp(name, "parallel") == 0) {
-        chase_engine = ChaseEngine::kParallel;
       } else {
         return Usage();
       }
     } else if (std::strcmp(argv[i], "--no-prune") == 0) {
       ropts.prune_subsumed = false;
-    } else if (std::strcmp(argv[i], "--no-plans") == 0) {
-      chase_plans = false;
-    } else if (std::strcmp(argv[i], "--no-vector-sink") == 0) {
-      chase_vsink = false;
     } else if (std::strncmp(argv[i], "--paranoia=", 11) == 0) {
       if (!ParanoiaLevelFromName(argv[i] + 11, &paranoia)) return Usage();
     } else if (std::strncmp(argv[i], "--trace-out=", 12) == 0) {
@@ -392,6 +378,9 @@ int main(int argc, char** argv) {
       char* end = nullptr;
       mem_budget_mb = std::strtod(argv[++i], &end);
       if (end == argv[i] || *end != '\0' || mem_budget_mb < 0) return Usage();
+    } else if (std::strncmp(argv[i], "--", 2) == 0) {
+      // An unknown flag is a usage error, never a positional argument.
+      return Usage();
     } else {
       positional = argv[i];
     }
@@ -419,8 +408,7 @@ int main(int argc, char** argv) {
     rc = CmdChase(p,
                   positional != nullptr ? std::strtoul(positional, nullptr, 10)
                                         : 32,
-                  chase_engine, chase_threads, chase_plans, chase_vsink,
-                  paranoia, &ctx);
+                  chase_engine, chase_threads, paranoia, &ctx);
   } else if (std::strcmp(cmd, "rewrite") == 0) {
     rc = CmdRewrite(p, ropts);
   } else if (std::strcmp(cmd, "classify") == 0) {

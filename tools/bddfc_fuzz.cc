@@ -22,7 +22,7 @@
 // cooperative checks and asserts the interrupted run is prefix-consistent
 // with the uninterrupted one. --inject-bug deliberately breaks an engine
 // invariant — the fuzzer's own self-test: the campaign must then fail and
-// minimize. chase-dedup breaks trigger dedup in the delta chase;
+// minimize. chase-dedup breaks trigger dedup in the chase engine;
 // torn-exhaust makes a governed exhaustion apply a torn half-round, which
 // governor-prefix (run with --inject-fault) must catch. sink-drop-dup
 // makes the vectorized sink drop every duplicate-derived tuple group
@@ -34,14 +34,21 @@
 // plans are ddmin-minimized. --paranoia promotes the chase's test-only
 // invariants to runtime checks on the engines under test.
 //
+// The summary prints pass=/skip= per oracle and, under each, its most
+// common skip reasons (digit runs folded to '#').
+//
 // Exit status: 0 = clean, 1 = oracle failures, 2 = usage error.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bddfc/obs/metrics.h"
@@ -52,6 +59,9 @@
 namespace {
 
 using namespace bddfc;
+
+/// Skip reasons printed under each oracle's pass=/skip= line.
+constexpr size_t kTopSkipReasons = 3;
 
 int Usage() {
   std::fprintf(
@@ -247,13 +257,34 @@ int main(int argc, char** argv) {
               report.runs_executed, report.checks_passed,
               report.checks_skipped, report.failures.size(),
               report.time_budget_hit ? " (time budget hit)" : "");
-  for (const auto& [name, passes] : report.passes_by_oracle) {
-    size_t skips = 0;
-    if (auto it = report.skips_by_oracle.find(name);
-        it != report.skips_by_oracle.end()) {
-      skips = it->second;
+  // Every oracle that decided or skipped anything, with its most common
+  // skip reasons underneath (an oracle that only skips still gets a line).
+  std::set<std::string> names;
+  for (const auto& [name, n] : report.passes_by_oracle) names.insert(name);
+  for (const auto& [name, n] : report.skips_by_oracle) names.insert(name);
+  auto count = [](const std::map<std::string, size_t>& m,
+                  const std::string& key) {
+    auto it = m.find(key);
+    return it == m.end() ? size_t{0} : it->second;
+  };
+  for (const std::string& name : names) {
+    const size_t skips = count(report.skips_by_oracle, name);
+    std::printf("  %-20s pass=%zu skip=%zu\n", name.c_str(),
+                count(report.passes_by_oracle, name), skips);
+    auto reasons_it = report.skip_reasons_by_oracle.find(name);
+    if (reasons_it == report.skip_reasons_by_oracle.end()) continue;
+    std::vector<std::pair<size_t, std::string>> reasons;
+    for (const auto& [reason, n] : reasons_it->second) {
+      reasons.emplace_back(n, reason);
     }
-    std::printf("  %-20s pass=%zu skip=%zu\n", name.c_str(), passes, skips);
+    std::sort(reasons.begin(), reasons.end(), [](const auto& a, const auto& b) {
+      return a.first != b.first ? a.first > b.first : a.second < b.second;
+    });
+    if (reasons.size() > kTopSkipReasons) reasons.resize(kTopSkipReasons);
+    for (const auto& [n, reason] : reasons) {
+      std::printf("    skip %5.1f%% %zu  %s\n", 100.0 * n / skips, n,
+                  reason.c_str());
+    }
   }
   for (const auto& [family, n] : report.runs_by_family) {
     std::printf("  family %-18s runs=%zu\n", family.c_str(), n);
