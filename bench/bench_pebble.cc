@@ -1,8 +1,8 @@
-// E5 — Cost of deciding positive-type containment (the pattern-enumeration
+// E5 — Cost of deciding positive-type containment (the connected-pattern
 // oracle of ptype.h) versus structure size and variable budget n.
-// Expected shape: pattern count grows ~ |C|^(n-1) uncolored; natural
-// coloring slashes the effective cost of downstream conservativity checks
-// because most canonical queries fail fast on color mismatch.
+// Expected shape: one containment query checks the connected ≤ n-sets
+// through the pinned element, so its pattern count depends on the degree
+// around the pin and on n, not on |C|; class counts on chains stay 2n-1.
 
 #include "bench_common.h"
 
@@ -14,25 +14,41 @@ namespace {
 
 using namespace bddfc;
 
+/// One row: patterns of one containment query between two elements of `c`
+/// (from `from` to `to`), and the number of ≡_n classes of `c`.
+void PrintRow(const char* shape, const Structure& c, int n, TermId from,
+              TermId to) {
+  TypeOracleOptions opts;
+  opts.num_variables = n;
+  TypeOracle oracle(c, c, opts);
+  oracle.TypeContained(from, to);
+  auto part = ExactPtpPartition(c, n);
+  std::printf("%-8s %-6zu %-4d %-14zu %-12s\n", shape, c.Domain().size(), n,
+              oracle.patterns_checked(),
+              part.ok() ? std::to_string(part.value().num_classes).c_str()
+                        : "(budget)");
+}
+
 void PrintTable() {
   bddfc_bench::Banner("E5", "type-oracle pattern counts");
-  std::printf("%-8s %-4s %-14s %-12s\n", "chain", "n", "patterns",
-              "classes");
-  for (int len : {16, 32, 64}) {
-    for (int n = 2; n <= 3; ++n) {
+  std::printf("%-8s %-6s %-4s %-14s %-12s\n", "shape", "|C|", "n",
+              "patterns", "classes");
+  for (int len : {16, 64, 512}) {
+    for (int n = 2; n <= 4; ++n) {
       auto sig = std::make_shared<Signature>();
-      Structure chain = MakeChain(sig, len);
-      TypeOracleOptions opts;
-      opts.num_variables = n;
-      TypeOracle oracle(chain, chain, opts);
-      // One full containment query between two interior elements.
-      std::vector<TermId> dom = chain.Domain();
-      oracle.TypeContained(dom[len / 2], dom[len / 2 + 1]);
-      auto part = ExactPtpPartition(chain, n);
-      std::printf("%-8d %-4d %-14zu %-12s\n", len, n,
-                  oracle.patterns_checked(),
-                  part.ok() ? std::to_string(part.value().num_classes).c_str()
-                            : "(budget)");
+      std::vector<TermId> dom;
+      Structure chain = MakeChain(sig, len, &dom);
+      // Between two interior elements.
+      PrintRow("chain", chain, n, dom[len / 2], dom[len / 2 + 1]);
+    }
+  }
+  for (int depth : {4, 7}) {
+    for (int n = 2; n <= 4; ++n) {
+      auto sig = std::make_shared<Signature>();
+      std::vector<TermId> dom;
+      Structure tree = MakeBinaryTree(sig, depth, &dom);
+      // Between the root's two children (interior, degree 3).
+      PrintRow("tree", tree, n, dom[1], dom[2]);
     }
   }
 }

@@ -14,6 +14,8 @@
 #include "bddfc/parser/parser.h"
 #include "bddfc/parser/printer.h"
 #include "bddfc/serve/server.h"
+#include "bddfc/testing/ptype_reference.h"
+#include "bddfc/types/quotient.h"
 
 namespace bddfc {
 
@@ -741,6 +743,99 @@ class ServeAgreementOracle : public Oracle {
   }
 };
 
+// ---------------------------------------------------------------------------
+// ptype-reference: ≡_n from the connected-pattern TypeOracle must equal the
+// all-subsets reference (testing/ptype_reference.h) at n = 2 and 3 on the
+// scenario's bounded chase, cut at the longest round prefix the reference
+// can afford. So must the containment of each element's quotient image in
+// the element: the CheckConservativeUpTo shape, the one that reaches the
+// oracle's pin-free components.
+// ---------------------------------------------------------------------------
+
+class PtypeReferenceOracle : public Oracle {
+ public:
+  std::string_view name() const override { return "ptype-reference"; }
+
+  OracleOutcome Check(const Scenario& s,
+                      const OracleConfig& config) const override {
+    ChaseOptions opts;
+    opts.max_rounds = config.max_rounds;
+    opts.max_facts = config.max_facts;
+    const ChaseResult chase = RunChase(s.theory, s.instance, opts);
+    const Structure c = NullBoundedPrefix(chase);
+    if (std::none_of(c.Domain().begin(), c.Domain().end(),
+                     [&](TermId e) { return s.sig->IsNull(e); })) {
+      return OracleOutcome::Skip(chase.nulls_created == 0
+                                     ? "no labeled nulls"
+                                     : "too many nulls for the reference");
+    }
+    for (int n : {2, 3}) {
+      const std::string at = "n=" + std::to_string(n) + ": ";
+      Result<TypePartition> got = ExactPtpPartition(c, n);
+      Result<TypePartition> want = ReferenceExactPtpPartition(c, n);
+      if (!got.ok() || !want.ok()) {
+        return OracleOutcome::Skip("type pattern budget tripped");
+      }
+      if (got.value().class_id != want.value().class_id) {
+        return OracleOutcome::Fail(
+            at + Mismatch("ExactPtpPartition classes",
+                          got.value().num_classes, want.value().num_classes));
+      }
+      const Quotient q = BuildQuotient(c, got.value());
+      TypeOracleOptions topts;
+      topts.num_variables = n;
+      TypeOracle oracle(q.structure, c, topts);
+      ReferenceTypeOracle reference(q.structure, c, topts);
+      for (TermId e : c.Domain()) {
+        const bool fast = oracle.TypeContained(q.Project(e), e);
+        const bool slow = reference.TypeContained(q.Project(e), e);
+        if (oracle.budget_exhausted() || reference.budget_exhausted()) {
+          return OracleOutcome::Skip("type pattern budget tripped");
+        }
+        if (fast != slow) {
+          return OracleOutcome::Fail(
+              at + Mismatch("quotient-image containment of element",
+                            fast, slow) +
+              " (element " + s.sig->ConstantName(e) + ")");
+        }
+      }
+    }
+    return OracleOutcome::Pass();
+  }
+
+ private:
+  static constexpr size_t kMaxNulls = 16;
+
+  /// The longest round prefix Chase^R (R = 0 is D) with at most kMaxNulls
+  /// labeled nulls: the reference's all-subsets enumeration is exponential
+  /// in the null count.
+  static Structure NullBoundedPrefix(const ChaseResult& chase) {
+    std::vector<size_t> born(1, 0);  // nulls per birth round
+    for (TermId e : chase.structure.Domain()) {
+      const size_t r = static_cast<size_t>(chase.ElementBirthRound(e));
+      if (r >= born.size()) born.resize(r + 1, 0);
+      ++born[r];
+    }
+    size_t last = 0;
+    for (size_t r = 1, nulls = 0; r < born.size(); ++r) {
+      nulls += born[r];
+      if (nulls > kMaxNulls) break;
+      last = r;
+    }
+    Structure out(chase.structure.signature_ptr());
+    for (TermId e : chase.structure.Domain()) {
+      if (static_cast<size_t>(chase.ElementBirthRound(e)) <= last) {
+        out.AddDomainElement(e);
+      }
+    }
+    const std::vector<std::vector<Atom>> rounds = chase.FactsByRound();
+    for (size_t r = 0; r <= last && r < rounds.size(); ++r) {
+      for (const Atom& fact : rounds[r]) out.AddFact(fact);
+    }
+    return out;
+  }
+};
+
 }  // namespace
 
 const std::vector<const Oracle*>& AllOracles() {
@@ -752,10 +847,11 @@ const std::vector<const Oracle*>& AllOracles() {
   static const GovernorPrefixOracle governor_prefix;
   static const ChaosRecoveryOracle chaos_recovery;
   static const ServeAgreementOracle serve_agreement;
+  static const PtypeReferenceOracle ptype_reference;
   static const std::vector<const Oracle*> kAll = {
       &chase_agreement, &parser_roundtrip, &rewrite_determinism,
       &rewrite_vs_chase, &pipeline_certify, &governor_prefix,
-      &chaos_recovery, &serve_agreement};
+      &chaos_recovery, &serve_agreement, &ptype_reference};
   return kAll;
 }
 

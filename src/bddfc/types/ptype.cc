@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <cassert>
 #include <deque>
+#include <limits>
 #include <map>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
 
+#include "bddfc/base/interner.h"
 #include "bddfc/chase/skeleton.h"
 #include "bddfc/eval/match.h"
 #include "bddfc/obs/metrics.h"
@@ -26,13 +28,28 @@ struct TypeOracle::Impl {
   ExecutionContext* ctx = nullptr;
   size_t charged_bytes = 0;  // incident-index estimate, released in ~Impl
 
+  /// A Θ-atom of A with at least one labeled null; `nulls` are its distinct
+  /// nulls, ascending — the pattern vertices the atom joins.
+  struct NullAtom {
+    PredId pred;
+    uint32_t row;
+    std::vector<TermId> nulls;
+  };
+
   std::vector<char> in_theta;   // indexed by PredId
   bool const_only_ok = true;    // constant-only atoms of A hold in B
-  std::vector<TermId> a_nulls;
-  /// Atoms of A (over Θ) incident to each null: (pred, row).
-  std::unordered_map<TermId, std::vector<std::pair<PredId, uint32_t>>>
-      incident;
+  std::vector<NullAtom> atoms;
+  /// Indexes into `atoms` of the atoms incident to each null.
+  std::unordered_map<TermId, std::vector<uint32_t>> incident;
+  /// The keys of `incident`, ascending: the roots of the pin-free
+  /// enumeration.
+  std::vector<TermId> roots;
   mutable size_t patterns_checked = 0;
+  mutable bool budget_hit = false;
+  /// Cached ComponentsHold() answer: -1 until a run that did not trip
+  /// decides it. A and B being one structure decides it up front (the
+  /// identity map embeds every pattern).
+  mutable int components_hold = -1;
 
   Impl(const Structure& a_, const Structure& b_,
        const TypeOracleOptions& opts)
@@ -50,26 +67,37 @@ struct TypeOracle::Impl {
       if (!in_theta[p]) continue;
       const auto& rows = a.Rows(p);
       for (uint32_t r = 0; r < rows.size(); ++r) {
-        bool has_null = false;
-        std::unordered_set<TermId> elems(rows[r].begin(), rows[r].end());
-        for (TermId t : elems) {
-          if (a.sig().IsNull(t)) {
-            incident[t].emplace_back(p, r);
-            has_null = true;
-          }
+        std::vector<TermId> nulls;
+        for (TermId t : rows[r]) {
+          if (a.sig().IsNull(t)) nulls.push_back(t);
         }
-        if (!has_null && !b.Contains(p, rows[r])) const_only_ok = false;
+        if (nulls.empty()) {
+          if (!b.Contains(p, rows[r])) const_only_ok = false;
+          continue;
+        }
+        std::sort(nulls.begin(), nulls.end());
+        nulls.erase(std::unique(nulls.begin(), nulls.end()), nulls.end());
+        for (TermId t : nulls) {
+          incident[t].push_back(static_cast<uint32_t>(atoms.size()));
+        }
+        atoms.push_back({p, r, std::move(nulls)});
       }
     }
-    for (TermId e : a.Domain()) {
-      if (a.sig().IsNull(e)) a_nulls.push_back(e);
+    for (const auto& [e, ids] : incident) {
+      (void)ids;
+      roots.push_back(e);
     }
+    std::sort(roots.begin(), roots.end());
+    if (&a == &b) components_hold = 1;
     // Account the incident index (the oracle's dominant allocation) for
     // the oracle's lifetime when a governor is attached.
     if (options.context != nullptr) {
-      for (const auto& [e, rows] : incident) {
+      for (const auto& [e, ids] : incident) {
         (void)e;
-        charged_bytes += 64 + rows.size() * sizeof(rows[0]);
+        charged_bytes += 64 + ids.size() * sizeof(ids[0]);
+      }
+      for (const NullAtom& atom : atoms) {
+        charged_bytes += sizeof(atom) + atom.nulls.size() * sizeof(TermId);
       }
       ctx->memory().Charge(charged_bytes);
     }
@@ -79,96 +107,138 @@ struct TypeOracle::Impl {
     if (charged_bytes != 0) ctx->memory().Release(charged_bytes);
   }
 
-  /// Builds the canonical query of A ↾ (S ∪ C_con) over Θ, with the
-  /// elements of S as variables. Returns the atom list; vars are indexed by
-  /// position of the element in S.
-  std::vector<Atom> PatternQuery(const std::vector<TermId>& s) const {
-    std::unordered_map<TermId, TermId> var_of;
-    for (size_t i = 0; i < s.size(); ++i) {
-      var_of.emplace(s[i], MakeVar(static_cast<int32_t>(i)));
-    }
-    std::vector<Atom> atoms;
-    std::unordered_set<int64_t> seen_rows;
-    for (TermId e : s) {
-      auto it = incident.find(e);
+  /// Builds the canonical query of A ↾ (K ∪ C_con) over Θ: every atom whose
+  /// nulls all lie in K, with K[i] as variable i.
+  std::vector<Atom> PatternQuery(const std::vector<TermId>& k) const {
+    auto position = [&](TermId t) {
+      return static_cast<size_t>(std::find(k.begin(), k.end(), t) -
+                                 k.begin());
+    };
+    std::vector<Atom> query;
+    for (size_t i = 0; i < k.size(); ++i) {
+      auto it = incident.find(k[i]);
       if (it == incident.end()) continue;
-      for (auto [pred, row] : it->second) {
-        if (!seen_rows.insert((int64_t(pred) << 32) | row).second) continue;
-        const std::vector<TermId>& args = a.Rows(pred)[row];
-        Atom atom;
-        atom.pred = pred;
-        atom.args.reserve(args.size());
-        bool inside = true;
-        for (TermId t : args) {
-          auto vit = var_of.find(t);
-          if (vit != var_of.end()) {
-            atom.args.push_back(vit->second);
-          } else if (!a.sig().IsNull(t)) {
-            atom.args.push_back(t);  // named constant context
-          } else {
-            inside = false;  // atom leaves S ∪ C_con
+      for (uint32_t id : it->second) {
+        // Emit each atom once, from its first null in K, and only when
+        // the atom stays inside K ∪ C_con.
+        bool emit = true;
+        for (TermId t : atoms[id].nulls) {
+          const size_t pos = position(t);
+          if (pos == k.size() || pos < i) {
+            emit = false;
             break;
           }
         }
-        if (inside) atoms.push_back(std::move(atom));
+        if (!emit) continue;
+        Atom atom;
+        atom.pred = atoms[id].pred;
+        for (TermId t : a.Rows(atom.pred)[atoms[id].row]) {
+          atom.args.push_back(
+              a.sig().IsNull(t) ? MakeVar(static_cast<int32_t>(position(t)))
+                                : t);  // named constant context
+        }
+        query.push_back(std::move(atom));
       }
     }
-    return atoms;
+    return query;
   }
 
-  mutable bool budget_hit = false;
+  /// Evaluates K's canonical query in B, with K[0] ↦ eb when eb >= 0 and
+  /// unpinned otherwise. Every evaluation probes the governor and counts
+  /// against max_patterns; a trip latches budget_hit and answers false.
+  bool PatternHolds(const Matcher& matcher, const std::vector<TermId>& k,
+                    TermId eb) const {
+    if (ctx->ShouldStop("ptype patterns")) {
+      budget_hit = true;  // governor trip: answers become inconclusive
+      return false;
+    }
+    ++patterns_checked;
+    if (patterns_checked >= options.max_patterns) {
+      budget_hit = true;
+      return false;
+    }
+    Binding pin;
+    if (eb >= 0) pin.emplace(MakeVar(0), eb);
+    return matcher.Exists(PatternQuery(k), pin);
+  }
 
-  /// Checks all patterns S (subsets of A's nulls) against the target: with
-  /// `pinned` >= 0, S always contains `pinned` and the canonical query is
-  /// evaluated with pinned ↦ eb; with `pinned` < 0, S starts empty and the
-  /// query is evaluated unpinned. `extra_budget` bounds the nulls added on
-  /// top of the pin.
-  bool PatternsHold(TermId pinned, TermId eb, int extra_budget) const {
-    Matcher matcher(b);
-    std::vector<TermId> s;
-    if (pinned >= 0) s.push_back(pinned);
-    std::vector<size_t> stack;  // indexes into a_nulls (combination DFS)
-    auto check_current = [&]() {
-      if (ctx->ShouldStop("ptype patterns")) {
-        budget_hit = true;  // governor trip: answers become inconclusive
-        return false;
-      }
-      ++patterns_checked;
-      if (patterns_checked >= options.max_patterns) {
-        budget_hit = true;
-        return false;
-      }
-      std::vector<Atom> q = PatternQuery(s);
-      Binding pin;
-      if (pinned >= 0) pin.emplace(MakeVar(0), eb);
-      return matcher.Exists(q, pin);
-    };
-    if (!check_current()) return false;
-
-    size_t next = 0;
-    while (true) {
-      if (static_cast<int>(stack.size()) < extra_budget &&
-          next < a_nulls.size()) {
-        TermId cand = a_nulls[next];
-        // Skip the pin and candidates with no Θ-atoms at all: an isolated
-        // variable never constrains satisfaction.
-        if (cand != pinned && incident.count(cand)) {
-          stack.push_back(next);
-          s.push_back(cand);
-          if (!check_current()) return false;
-          next = next + 1;
-          continue;
+  /// Visits every connected pattern K ∋ root with |K| ≤ limit, once each,
+  /// smallest first, with K[0] == root. Connected means connected through
+  /// Θ-atoms whose nulls all lie in K, so K grows by whole atoms: a ternary
+  /// atom joins its three nulls only together. Atoms with a null below
+  /// `floor` are not followed. Returns false as soon as `visit` does.
+  template <typename Visit>
+  bool ForEachConnected(TermId root, size_t limit, TermId floor,
+                        const Visit& visit) const {
+    std::vector<std::vector<TermId>> queue = {{root}};
+    if (!visit(queue.front())) return false;
+    std::unordered_set<std::vector<TermId>, TupleHash> seen;
+    for (size_t head = 0; head < queue.size(); ++head) {
+      const std::vector<TermId> k = queue[head];
+      for (TermId x : k) {
+        auto it = incident.find(x);
+        if (it == incident.end()) continue;
+        for (uint32_t id : it->second) {
+          const std::vector<TermId>& nulls = atoms[id].nulls;
+          if (nulls.front() < floor) continue;
+          std::vector<TermId> grown = k;
+          for (TermId t : nulls) {
+            if (std::find(k.begin(), k.end(), t) == k.end()) {
+              grown.push_back(t);
+            }
+          }
+          if (grown.size() == k.size() || grown.size() > limit) continue;
+          std::vector<TermId> key = grown;
+          std::sort(key.begin(), key.end());
+          if (!seen.insert(std::move(key)).second) continue;
+          if (!visit(grown)) return false;
+          queue.push_back(std::move(grown));
         }
-        ++next;
-        continue;
       }
-      if (stack.empty()) break;
-      next = stack.back() + 1;
-      stack.pop_back();
-      s.pop_back();
     }
     return true;
   }
+
+  /// The pin-free half of containment: every connected pattern K with
+  /// |K| ≤ n−1 has a Boolean canonical query that holds in B. It does not
+  /// depend on the pinned pair, so it is decided once per oracle; each K
+  /// is enumerated from its least null only.
+  bool ComponentsHold() const {
+    if (components_hold >= 0) return components_hold == 1;
+    const int limit = options.num_variables - 1;
+    Matcher matcher(b);
+    bool holds = true;
+    for (size_t i = 0; limit > 0 && holds && i < roots.size(); ++i) {
+      holds = ForEachConnected(
+          roots[i], static_cast<size_t>(limit), roots[i],
+          [&](const std::vector<TermId>& k) {
+            return PatternHolds(matcher, k, -1);
+          });
+    }
+    // A tripped run proves nothing either way: leave the cache unfilled.
+    if (!budget_hit) components_hold = holds ? 1 : 0;
+    return holds;
+  }
+
+  /// The pinned half: every connected pattern K ∋ ea with |K| ≤ n has a
+  /// canonical query that holds in B with ea ↦ eb.
+  bool PinnedHold(TermId ea, TermId eb) const {
+    Matcher matcher(b);
+    const size_t limit =
+        static_cast<size_t>(std::max(options.num_variables, 1));
+    return ForEachConnected(
+        ea, limit, std::numeric_limits<TermId>::min(),
+        [&](const std::vector<TermId>& k) {
+          return PatternHolds(matcher, k, eb);
+        });
+  }
+
+ private:
+  struct TupleHash {
+    size_t operator()(const std::vector<TermId>& v) const {
+      return HashRange(v.begin(), v.end());
+    }
+  };
 };
 
 TypeOracle::TypeOracle(const Structure& a, const Structure& b,
@@ -193,15 +263,24 @@ TypeOracle& TypeOracle::operator=(TypeOracle&&) noexcept = default;
 
 bool TypeOracle::TypeContained(TermId ea, TermId eb) const {
   const Impl& im = *impl_;
+  // One probe per call, so a trip is observed even by a call that
+  // evaluates no pattern (a named constant against a self-oracle).
+  if (im.ctx->ShouldStop("ptype containment")) {
+    im.budget_hit = true;
+    return false;
+  }
   if (!im.const_only_ok) return false;
+  // A CQ's canonical query factors over the connected components of its
+  // variables: the pin's component must map with ea ↦ eb, every other
+  // component (at most n−1 nulls) must merely hold in B.
   if (!im.a.sig().IsNull(ea)) {
     // Named constant: the query y = ea (allowed by Def. 3) forces eb == ea.
-    // The remaining queries fold y into the constant context, leaving
-    // unpinned patterns over at most n-1 nulls.
+    // The remaining queries fold y into the constant context, leaving only
+    // the pin-free components.
     if (eb != ea) return false;
-    return im.PatternsHold(-1, -1, im.options.num_variables - 1);
+    return im.ComponentsHold();
   }
-  return im.PatternsHold(ea, eb, im.options.num_variables - 1);
+  return im.ComponentsHold() && im.PinnedHold(ea, eb);
 }
 
 size_t TypeOracle::patterns_checked() const {

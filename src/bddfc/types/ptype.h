@@ -12,18 +12,29 @@
 // canonical query of one "valuation pattern": a set S of at most n labeled
 // nulls of A (variables mapped to named constants fold into the constant
 // context, since the strongest pattern adds the x = c atoms Def. 3 allows).
-// Hence
+// A canonical query is the conjunction of its connected components, where
+// nulls are connected through Θ-atoms whose nulls all lie in S (a ternary
+// atom joins its three nulls only together). The pin's component must map
+// with a ↦ b; every other component, of at most n−1 nulls, must only hold
+// in B. Hence
 //
 //   ptp_n(A, a, Θ) ⊆ ptp_n(B, b, Θ)
-//     ⇔  for every S ⊆ Nulls(A) with a ∈ S, |S| ≤ n:
-//          the canonical query of A ↾ (S ∪ C_con) over Θ has a
+//     ⇔  for every connected K ⊆ Nulls(A) with a ∈ K, |K| ≤ n:
+//          the canonical query of A ↾ (K ∪ C_con) over Θ has a
 //          homomorphism into B mapping a ↦ b and fixing named constants,
+//     and for every connected K with |K| ≤ n−1:
+//          that canonical query, unpinned, holds in B,
 //
 // plus the global conditions: constant-only atoms of A hold in B, and a
 // named constant a forces b = a (the equality atom y = c of Remark 1).
 //
-// The oracle below enumerates patterns lazily per source element and
-// evaluates the canonical queries with the index-backed matcher.
+// The oracle grows the connected patterns through the pin by whole atoms,
+// so a containment query costs the number of connected ≤ n-sets around
+// the pin — bounded by the degree there, not by |A|. The unpinned
+// condition does not depend on (a, b): it is decided once per oracle, and
+// it holds trivially when A and B are the same structure. The literal
+// all-subsets enumeration is the test-only reference in
+// testing/ptype_reference.h.
 
 #ifndef BDDFC_TYPES_PTYPE_H_
 #define BDDFC_TYPES_PTYPE_H_
@@ -44,13 +55,14 @@ struct TypeOracleOptions {
   /// Predicates defining the type signature Θ (empty = all). Pass the base
   /// predicates (without colors) for the Σ-types of Def. 8.
   std::vector<PredId> predicates;
-  /// Safety cap on (pattern, target) query evaluations per containment.
+  /// Safety cap on canonical-query evaluations over the oracle's lifetime.
   size_t max_patterns = 5000000;
   /// Resource governor (not owned; may be null): strided deadline/memory/
-  /// cancellation probes inside pattern enumeration; the oracle's incident
-  /// index is charged to its accountant for the oracle's lifetime. A trip
-  /// makes subsequent answers inconclusive — it is reported through
-  /// budget_exhausted() exactly like a max_patterns trip.
+  /// cancellation probes at every containment query and every evaluated
+  /// pattern; the oracle's incident index is charged to its accountant for
+  /// the oracle's lifetime. A trip makes subsequent answers inconclusive —
+  /// it is reported through budget_exhausted() exactly like a max_patterns
+  /// trip.
   ExecutionContext* context = nullptr;
 };
 
@@ -68,7 +80,9 @@ class TypeOracle {
   /// True iff ptp_n(A, ea, Θ) ⊆ ptp_n(B, eb, Θ).
   bool TypeContained(TermId ea, TermId eb) const;
 
-  /// Number of canonical-query evaluations performed so far.
+  /// Number of canonical-query evaluations performed so far: connected
+  /// patterns through a pin, plus the unpinned components the first
+  /// containment query decides for the whole oracle.
   size_t patterns_checked() const;
 
   /// True when some containment check tripped max_patterns *or* the

@@ -43,6 +43,8 @@ int RunBinary(const std::string& binary, const std::string& args) {
 }
 
 /// Writes a program under the test's scratch dir and returns its path.
+/// ctest runs the cases of this file concurrently, so each case uses its
+/// own file names.
 std::string WriteProgram(const std::string& name, const std::string& text) {
   fs::path dir = fs::current_path() / "exit_code_scratch";
   fs::create_directories(dir);
@@ -78,7 +80,7 @@ TEST(CliExitCodeTest, UsageAndParseErrorsAreTwo) {
   EXPECT_EQ(RunBinary(BDDFC_CLI_PATH, "chase /nonexistent/no.dlg"), 2);
   std::string bad = WriteProgram("bad.dlg", "this is not datalog (\n");
   EXPECT_EQ(RunBinary(BDDFC_CLI_PATH, "chase " + bad), 2);
-  std::string prog = WriteProgram("tc.dlg", kInfiniteTc);
+  std::string prog = WriteProgram("usage_tc.dlg", kInfiniteTc);
   EXPECT_EQ(RunBinary(BDDFC_CLI_PATH, "chase " + prog + " --deadline-ms -5"), 2);
   EXPECT_EQ(RunBinary(BDDFC_CLI_PATH, "chase " + prog + " --mem-budget-mb junk"), 2);
   EXPECT_EQ(RunBinary(BDDFC_CLI_PATH, "chase " + prog + " --paranoia=bogus"), 2);
@@ -100,12 +102,12 @@ TEST(CliExitCodeTest, NegativeSemanticOutcomeIsOne) {
   EXPECT_EQ(RunBinary(BDDFC_CLI_PATH, "model " + certain), 1);
   // Every finite model of transitive closure + totality has a self-loop:
   // the exhaustive search (0 extra elements) finds nothing.
-  std::string tc = WriteProgram("tc.dlg", kInfiniteTc);
+  std::string tc = WriteProgram("negative_tc.dlg", kInfiniteTc);
   EXPECT_EQ(RunBinary(BDDFC_CLI_PATH, "search " + tc + " 0"), 1);
 }
 
 TEST(CliExitCodeTest, ResourceExhaustionIsThree) {
-  std::string tc = WriteProgram("tc.dlg", kInfiniteTc);
+  std::string tc = WriteProgram("exhaustion_tc.dlg", kInfiniteTc);
   // Count budget (max_rounds) on a diverging chase.
   EXPECT_EQ(RunBinary(BDDFC_CLI_PATH, "chase " + tc + " 5"), 3);
   // Wall-clock deadline.

@@ -10,6 +10,7 @@
 #include "bddfc/types/conservativity.h"
 #include "bddfc/types/ptype.h"
 #include "bddfc/types/quotient.h"
+#include "bddfc/workload/generators.h"
 #include "bddfc/workload/paper_examples.h"
 
 namespace bddfc {
@@ -145,6 +146,83 @@ TEST(PtypeTest, BallPartitionRefinesExactOnTrees) {
   TypePartition exact = MustPartition(tree, 2);
   TypePartition ball = BallPartition(tree, 2);
   EXPECT_TRUE(IsRefinementOf(ball, exact));
+}
+
+TEST(PtypeTest, FarComponentWithoutImageBreaksContainment) {
+  // A = {e(p, q), u(z)}, B = {e(p', q')}. Every pattern through p embeds
+  // with p ↦ p', but the pin-free component {z} has no image in B: the CQ
+  // ∃z. u(z) (with y unused) is in ptp_2(A, p) and not in ptp_2(B, p').
+  auto sig = std::make_shared<Signature>();
+  PredId e = std::move(sig->AddPredicate("e", 2)).ValueOrDie();
+  PredId u = std::move(sig->AddPredicate("u", 1)).ValueOrDie();
+  TermId p = sig->AddNull(), q = sig->AddNull(), z = sig->AddNull();
+  TermId p2 = sig->AddNull(), q2 = sig->AddNull();
+  Structure a(sig);
+  a.AddFact(e, {p, q});
+  a.AddFact(u, {z});
+  Structure b(sig);
+  b.AddFact(e, {p2, q2});
+  TypeOracleOptions opts;
+  opts.num_variables = 2;
+  TypeOracle oracle(a, b, opts);
+  EXPECT_FALSE(oracle.TypeContained(p, p2));
+  EXPECT_FALSE(oracle.budget_exhausted());
+  // With one variable there is no room for a second component.
+  opts.num_variables = 1;
+  TypeOracle one(a, b, opts);
+  EXPECT_TRUE(one.TypeContained(p, p2));
+}
+
+TEST(PtypeTest, PatternConnectedOnlyThroughTernaryAtom) {
+  // A = {t(x, y, z), u(z)}: the pattern {x, y, z} is connected only by the
+  // ternary atom, and its query t(y, Y, Z) ∧ u(Z) fails in B, where the
+  // t-atom at x' has no u-marked third argument. No pattern of two nulls
+  // sees it ({x, z} leaves t out), so containment holds at n = 2 and fails
+  // at n = 3.
+  auto sig = std::make_shared<Signature>();
+  PredId t = std::move(sig->AddPredicate("t", 3)).ValueOrDie();
+  PredId u = std::move(sig->AddPredicate("u", 1)).ValueOrDie();
+  TermId x = sig->AddNull(), y = sig->AddNull(), z = sig->AddNull();
+  TermId x2 = sig->AddNull(), y2 = sig->AddNull(), z2 = sig->AddNull();
+  TermId w = sig->AddNull();
+  Structure a(sig);
+  a.AddFact(t, {x, y, z});
+  a.AddFact(u, {z});
+  Structure b(sig);
+  b.AddFact(t, {x2, y2, z2});
+  b.AddFact(u, {w});
+  TypeOracleOptions opts;
+  opts.num_variables = 2;
+  EXPECT_TRUE(TypeOracle(a, b, opts).TypeContained(x, x2));
+  opts.num_variables = 3;
+  EXPECT_FALSE(TypeOracle(a, b, opts).TypeContained(x, x2));
+}
+
+TEST(PtypeTest, ExactPartitionOfLargeColoredForestAtFourVariables) {
+  // ROADMAP item 5's gate: ≡_4 of a naturally colored 512-edge forest
+  // finishes under the default max_patterns, and BallPartition refines it.
+  auto sig = std::make_shared<Signature>();
+  PredId e = std::move(sig->AddPredicate("e", 2)).ValueOrDie();
+  Structure forest(sig);
+  std::vector<TermId> nodes;
+  Rng rng(512);
+  for (int r = 0; r < 3; ++r) {
+    nodes.push_back(sig->AddNull());
+    forest.AddDomainElement(nodes.back());
+  }
+  for (int k = 0; k < 512; ++k) {
+    const TermId parent = nodes[rng.Uniform(nodes.size())];
+    nodes.push_back(sig->AddNull());
+    forest.AddDomainElement(nodes.back());
+    forest.AddFact(e, {parent, nodes.back()});
+  }
+  Result<Coloring> col = NaturalColoring(forest, 2);
+  ASSERT_TRUE(col.ok()) << col.status().ToString();
+  const Structure& colored = col.value().colored;
+  Result<TypePartition> exact = ExactPtpPartition(colored, 4);
+  ASSERT_TRUE(exact.ok()) << exact.status().ToString();
+  EXPECT_TRUE(IsRefinementOf(BallPartition(colored, 4), exact.value()));
+  EXPECT_GT(exact.value().num_classes, 1);
 }
 
 TEST(QuotientTest, Lemma1PartitionsRefineDownward) {
