@@ -3,10 +3,15 @@
 // theory with D a path of named constants. Expected shape: model size grows
 // linearly with |D| plus a constant-size cycle tail (hue period), and the
 // pipeline certifies at the first depth whose prefix wraps the hue period.
+// BM_NaturalColoring times the color stage alone on null chains: it grows
+// linearly with the chain length.
 
 #include "bench_common.h"
 
+#include <chrono>
+
 #include "bddfc/finitemodel/pipeline.h"
+#include "bddfc/types/coloring.h"
 #include "bddfc/workload/paper_examples.h"
 
 namespace {
@@ -26,23 +31,27 @@ Program Example7WithPath(int path_len) {
 
 void PrintTable() {
   bddfc_bench::Banner("E7", "Theorem 2 pipeline vs |D| (Example 7 theory)");
-  std::printf("%-6s %-12s %-10s %-10s %-8s %-8s\n", "|D|", "model size",
-              "attempts", "depth", "n", "status");
-  for (int d : {1, 2, 4, 8, 16}) {
+  std::printf("%-6s %-12s %-10s %-10s %-8s %-8s %-10s\n", "|D|",
+              "model size", "attempts", "depth", "n", "status", "wall ms");
+  for (int d : {1, 2, 4, 8, 16, 64, 256}) {
     Program p = Example7WithPath(d);
     ConjunctiveQuery q =
         std::move(ParseQuery("e(X, X)", p.theory.signature_ptr().get()))
             .ValueOrDie();
     PipelineOptions opts;
     opts.max_chase_depth = 64;
+    const auto t0 = std::chrono::steady_clock::now();
     FiniteModelResult r =
         ConstructFiniteCounterModel(p.theory, p.instance, q, opts);
-    std::printf("%-6d %-12s %-10zu %-10zu %-8d %-8s\n", d,
+    const std::chrono::duration<double, std::milli> wall =
+        std::chrono::steady_clock::now() - t0;
+    std::printf("%-6d %-12s %-10zu %-10zu %-8d %-8s %-10.1f\n", d,
                 r.status.ok()
                     ? std::to_string(r.model.Domain().size()).c_str()
                     : "-",
                 r.attempts.size(), r.chase_depth_used, r.n_used,
-                r.status.ok() ? "ok" : StatusCodeName(r.status.code()));
+                r.status.ok() ? "ok" : StatusCodeName(r.status.code()),
+                wall.count());
   }
 }
 
@@ -61,8 +70,24 @@ void BM_PipelineExample7(benchmark::State& state) {
     benchmark::DoNotOptimize(r.status.ok());
   }
 }
-BENCHMARK(BM_PipelineExample7)->Arg(1)->Arg(4)->Arg(8)
+BENCHMARK(BM_PipelineExample7)->Arg(1)->Arg(4)->Arg(8)->Arg(64)
     ->Unit(benchmark::kMillisecond);
+
+void BM_NaturalColoring(benchmark::State& state) {
+  const int edges = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    // A fresh signature per iteration: each coloring adds color predicates.
+    state.PauseTiming();
+    auto sig = std::make_shared<Signature>();
+    Structure chain = MakeChain(sig, edges);
+    state.ResumeTiming();
+    Result<Coloring> col = NaturalColoring(chain, 2);
+    benchmark::DoNotOptimize(col.ok());
+  }
+  state.SetComplexityN(edges);
+}
+BENCHMARK(BM_NaturalColoring)->Arg(512)->Arg(2048)->Arg(8192)
+    ->Complexity(benchmark::oN)->Unit(benchmark::kMillisecond);
 
 void BM_PipelineSuccessor(benchmark::State& state) {
   for (auto _ : state) {

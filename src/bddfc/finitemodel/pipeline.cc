@@ -21,7 +21,9 @@ namespace bddfc {
 namespace {
 
 /// Projects a structure onto the predicates with id < `num_original`
-/// (drops colors, hidden-query and normalization auxiliaries).
+/// (drops colors, hidden-query and normalization auxiliaries). The domain
+/// and the rows of the kept predicates are unchanged, so certification
+/// runs on `s` itself and only the certified candidate is projected.
 Structure ProjectToOriginal(const Structure& s, int num_original) {
   Structure out(s.signature_ptr());
   s.ForEachFact([&](PredId p, const std::vector<TermId>& row) {
@@ -29,6 +31,13 @@ Structure ProjectToOriginal(const Structure& s, int num_original) {
   });
   for (TermId e : s.Domain()) out.AddDomainElement(e);
   return out;
+}
+
+/// Number of facts ProjectToOriginal(s, num_original) keeps.
+size_t NumOriginalFacts(const Structure& s, int num_original) {
+  size_t n = 0;
+  for (PredId p = 0; p < num_original; ++p) n += s.NumFacts(p);
+  return n;
 }
 
 }  // namespace
@@ -212,8 +221,7 @@ FiniteModelResult ConstructFiniteCounterModel(
 
     if (chase.fixpoint_reached) {
       // The chase itself is a finite model avoiding F; certify directly.
-      Structure candidate =
-          ProjectToOriginal(chase.structure, num_original_preds);
+      const Structure& candidate = chase.structure;
       PipelineAttempt attempt;
       attempt.chase_depth = chase.rounds_run;
       attempt.n = 0;
@@ -230,7 +238,7 @@ FiniteModelResult ConstructFiniteCounterModel(
       }
       if (attempt.certified) {
         result.attempts.push_back(attempt);
-        result.model = std::move(candidate);
+        result.model = ProjectToOriginal(candidate, num_original_preds);
         result.chase_depth_used = chase.rounds_run;
         finalize();
         result.report.partial_result = false;
@@ -349,9 +357,9 @@ FiniteModelResult ConstructFiniteCounterModel(
         continue;
       }
 
-      // Step 7: certification against the ORIGINAL theory and query.
-      Structure candidate =
-          ProjectToOriginal(saturated.structure, num_original_preds);
+      // Step 7: certification against the ORIGINAL theory and query. The
+      // checks read only predicates with id < num_original_preds.
+      const Structure& candidate = saturated.structure;
       {
         PhaseScope cert_scope(ctx, "certify");
         if (!candidate.ContainsAllFactsOf(instance)) {
@@ -364,7 +372,8 @@ FiniteModelResult ConstructFiniteCounterModel(
         } else {
           attempt.certified = true;
           cert_scope.set_progress(
-              "model with " + std::to_string(candidate.NumFacts()) +
+              "model with " +
+              std::to_string(NumOriginalFacts(candidate, num_original_preds)) +
               " facts at depth " + std::to_string(depth) +
               ", n=" + std::to_string(n));
         }
@@ -372,7 +381,7 @@ FiniteModelResult ConstructFiniteCounterModel(
       }
       if (attempt.certified) {
         result.attempts.push_back(attempt);
-        result.model = std::move(candidate);
+        result.model = ProjectToOriginal(candidate, num_original_preds);
         result.n_used = n;
         result.chase_depth_used = depth;
         finalize();

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "bddfc/chase/skeleton.h"
 #include "bddfc/chase/supervisor.h"
 #include "bddfc/classes/recognizers.h"
 #include "bddfc/eval/answers.h"
@@ -14,6 +15,7 @@
 #include "bddfc/parser/parser.h"
 #include "bddfc/parser/printer.h"
 #include "bddfc/serve/server.h"
+#include "bddfc/testing/coloring_reference.h"
 #include "bddfc/testing/ptype_reference.h"
 #include "bddfc/types/quotient.h"
 
@@ -836,6 +838,78 @@ class PtypeReferenceOracle : public Oracle {
   }
 };
 
+// ---------------------------------------------------------------------------
+// coloring-reference: the indexed NaturalColoring must equal the literal
+// full-scan reference (testing/coloring_reference.h) on the scenario's
+// bounded chase whenever its nulls form a forest: the same colors, color
+// predicates, lightness count and colored structure, and a coloring that
+// passes the literal Def. 14 check. Both run on copies of the signature,
+// so the scenario's signature gains no color predicates.
+// ---------------------------------------------------------------------------
+
+class ColoringReferenceOracle : public Oracle {
+ public:
+  std::string_view name() const override { return "coloring-reference"; }
+
+  OracleOutcome Check(const Scenario& s,
+                      const OracleConfig& config) const override {
+    ChaseOptions opts;
+    opts.max_rounds = config.max_rounds;
+    opts.max_facts = config.max_facts;
+    const ChaseResult chase = RunChase(s.theory, s.instance, opts);
+    const Structure& c = chase.structure;
+    if (std::none_of(c.Domain().begin(), c.Domain().end(),
+                     [&](TermId e) { return s.sig->IsNull(e); })) {
+      return OracleOutcome::Skip("no labeled nulls");
+    }
+    if (!AnalyzeSkeleton(c).is_forest) {
+      return OracleOutcome::Skip("nulls do not form a forest");
+    }
+    // The reference scans every fact once per element.
+    if (c.Domain().size() * c.NumFacts() > kMaxReferenceWork) {
+      return OracleOutcome::Skip("structure too large for the reference");
+    }
+    const int m = 1 + static_cast<int>(s.seed % 4);
+    const Structure c_fast = CopyOnFreshSignature(c);
+    const Structure c_ref = CopyOnFreshSignature(c);
+    Result<Coloring> got = NaturalColoring(c_fast, m);
+    Result<Coloring> want = ReferenceNaturalColoring(c_ref, m);
+    if (!got.ok() || !want.ok()) {
+      return OracleOutcome::Fail(
+          "coloring of a forest failed: " + got.status().ToString() + " vs " +
+          want.status().ToString());
+    }
+    const Coloring& g = got.value();
+    const Coloring& w = want.value();
+    if (g.num_lightnesses != w.num_lightnesses) {
+      return OracleOutcome::Fail(
+          Mismatch("lightness count", g.num_lightnesses, w.num_lightnesses));
+    }
+    if (g.color_predicates != w.color_predicates) {
+      return OracleOutcome::Fail("color predicates differ");
+    }
+    for (TermId e : c.Domain()) {
+      if (g.color_of.at(e) != w.color_of.at(e)) {
+        return OracleOutcome::Fail(
+            Mismatch("color",
+                     g.colored.sig().PredicateName(g.color_of.at(e)),
+                     w.colored.sig().PredicateName(w.color_of.at(e))) +
+            " (element " + s.sig->ConstantName(e) + ")");
+      }
+    }
+    if (g.colored.ToString() != w.colored.ToString()) {
+      return OracleOutcome::Fail("colored structures differ");
+    }
+    if (!IsNaturalColoring(g, c_fast, m)) {
+      return OracleOutcome::Fail("coloring fails the Def. 14 check");
+    }
+    return OracleOutcome::Pass();
+  }
+
+ private:
+  static constexpr size_t kMaxReferenceWork = 2000000;
+};
+
 }  // namespace
 
 const std::vector<const Oracle*>& AllOracles() {
@@ -848,10 +922,12 @@ const std::vector<const Oracle*>& AllOracles() {
   static const ChaosRecoveryOracle chaos_recovery;
   static const ServeAgreementOracle serve_agreement;
   static const PtypeReferenceOracle ptype_reference;
+  static const ColoringReferenceOracle coloring_reference;
   static const std::vector<const Oracle*> kAll = {
       &chase_agreement, &parser_roundtrip, &rewrite_determinism,
       &rewrite_vs_chase, &pipeline_certify, &governor_prefix,
-      &chaos_recovery, &serve_agreement, &ptype_reference};
+      &chaos_recovery, &serve_agreement, &ptype_reference,
+      &coloring_reference};
   return kAll;
 }
 

@@ -2,40 +2,96 @@
 
 #include <algorithm>
 #include <map>
-#include <string>
+#include <span>
 
 #include "bddfc/chase/skeleton.h"
-#include "bddfc/classes/vtdag.h"
 
 namespace bddfc {
 
 namespace {
 
-/// Canonical encoding of C ↾ (P(e) ∪ C_con) with e and its parent
-/// anonymized ("E"/"P") and constants by name. Equal strings <=> isomorphic
-/// restrictions (with the P-roles distinguished).
-std::string LocalIsoKey(const Structure& c, TermId e, TermId parent) {
-  auto name = [&](TermId t) -> std::string {
-    if (t == e) return "@E";
-    if (t == parent) return "@P";
-    if (!c.sig().IsNull(t)) return "c" + std::to_string(t);
-    return "";  // outside P(e) ∪ C_con
-  };
-  std::vector<std::string> atoms;
-  c.ForEachFact([&](PredId p, const std::vector<TermId>& row) {
-    if (c.sig().IsColor(p)) return;
-    std::string s = std::to_string(p) + "(";
-    for (TermId t : row) {
-      std::string nm = name(t);
-      if (nm.empty()) return;  // atom leaves the restriction
-      s += nm + ",";
+/// Placeholders of the local encodings: the null being keyed, its parent,
+/// and the leading tag that keeps constants' keys apart from nulls'.
+constexpr TermId kSelf = -1;
+constexpr TermId kParent = -2;
+constexpr TermId kConstantKey = -3;
+
+/// Flat CSR incidence index of C's non-color facts: for each null, the
+/// facts it occurs in, each listed once however often the null repeats in
+/// it. Indexed by TermId; named constants have empty lists.
+class NullIncidence {
+ public:
+  explicit NullIncidence(const Structure& c)
+      : offset_(c.sig().num_constants() + 1, 0) {
+    ForEachIncidence(c, [&](TermId x, FactHandle) { ++offset_[x + 1]; });
+    for (size_t i = 1; i < offset_.size(); ++i) offset_[i] += offset_[i - 1];
+    refs_.resize(offset_.back());
+    std::vector<uint32_t> fill(offset_.begin(), offset_.end() - 1);
+    ForEachIncidence(c, [&](TermId x, FactHandle h) { refs_[fill[x]++] = h; });
+  }
+
+  std::span<const FactHandle> Of(TermId x) const {
+    return {refs_.data() + offset_[x], refs_.data() + offset_[x + 1]};
+  }
+
+ private:
+  template <typename Fn>
+  static void ForEachIncidence(const Structure& c, Fn&& fn) {
+    const Signature& sig = c.sig();
+    for (PredId p = 0; p < c.NumStoredPredicates(); ++p) {
+      if (sig.IsColor(p)) continue;
+      const std::vector<std::vector<TermId>>& rows = c.Rows(p);
+      for (uint32_t r = 0; r < rows.size(); ++r) {
+        const std::vector<TermId>& row = rows[r];
+        for (auto it = row.begin(); it != row.end(); ++it) {
+          if (sig.IsNull(*it) && std::find(row.begin(), it, *it) == it) {
+            fn(*it, FactHandle{p, r});
+          }
+        }
+      }
     }
-    atoms.push_back(s + ")");
-  });
+  }
+
+  std::vector<uint32_t> offset_;
+  std::vector<FactHandle> refs_;
+};
+
+/// Appends to `out` the atoms of `facts` that lie in C ↾ ({x, y} ∪ C_con)
+/// and, when `need_y`, contain y — each as [pred, args...] with x ↦ kSelf,
+/// y ↦ kParent and named constants by id, sorted. A predicate fixes its
+/// arity, so equal outputs mean equal atom sets.
+void AppendLocalAtoms(const Structure& c, std::span<const FactHandle> facts,
+                      TermId x, TermId y, bool need_y,
+                      std::vector<TermId>* out) {
+  std::vector<std::vector<TermId>> atoms;
+  for (FactHandle h : facts) {
+    const std::vector<TermId>& row = c.Tuple(h);
+    std::vector<TermId> atom{h.pred};
+    bool has_y = false;
+    bool inside = true;
+    for (TermId t : row) {
+      if (t == x) {
+        atom.push_back(kSelf);
+      } else if (t == y) {
+        atom.push_back(kParent);
+        has_y = true;
+      } else if (!c.sig().IsNull(t)) {
+        atom.push_back(t);
+      } else {
+        inside = false;
+        break;
+      }
+    }
+    if (inside && (has_y || !need_y)) atoms.push_back(std::move(atom));
+  }
   std::sort(atoms.begin(), atoms.end());
-  std::string out;
-  for (const auto& a : atoms) out += a + ";";
-  return out;
+  for (const auto& a : atoms) out->insert(out->end(), a.begin(), a.end());
+}
+
+/// Interns `key` into `ids`, numbering keys by first occurrence.
+int Intern(std::map<std::vector<TermId>, int>* ids, std::vector<TermId> key) {
+  return ids->emplace(std::move(key), static_cast<int>(ids->size()))
+      .first->second;
 }
 
 }  // namespace
@@ -53,36 +109,51 @@ Result<Coloring> NaturalColoring(const Structure& c, int m) {
   });
   for (TermId e : c.Domain()) out.colored.AddDomainElement(e);
 
-  // Lightness table: canonical local-iso string -> id.
-  std::map<std::string, int> lightness_of;
+  // C ↾ (P(e) ∪ C_con) splits into the atoms over {e} ∪ C_con with e,
+  // those over {parent} ∪ C_con with the parent, those with both, and the
+  // constant-only atoms. The last are the same for every null and are
+  // omitted. The first two are a null's "own" atoms: intern each null's
+  // once, so a parent with many children is encoded once.
+  const NullIncidence incidence(c);
+  std::map<std::vector<TermId>, int> own_ids;
+  const int no_parent = Intern(&own_ids, {});
+  std::vector<int> own_id(c.sig().num_constants(), no_parent);
+  for (TermId e : c.Domain()) {
+    if (!c.sig().IsNull(e)) continue;
+    std::vector<TermId> own;
+    AppendLocalAtoms(c, incidence.Of(e), e, -1, false, &own);
+    own_id[e] = Intern(&own_ids, std::move(own));
+  }
+
+  // Lightness table: local key -> id, numbered in Domain() order.
+  std::map<std::vector<TermId>, int> lightness_of;
   // (hue, lightness) -> color predicate.
   std::map<std::pair<int, int>, PredId> color_pred;
   int hue_period = m + 2;  // P_m(e) reaches ancestors within m+1 steps
 
   for (TermId e : c.Domain()) {
     int hue;
-    TermId parent = -1;
-    std::string iso_key;
+    std::vector<TermId> key;
     if (!c.sig().IsNull(e)) {
       // Constants: P(e) = {e}; their name makes the local type unique.
       hue = 0;
-      iso_key = "const:" + std::to_string(e);
+      key = {kConstantKey, e};
     } else {
       auto dit = forest.depth.find(e);
       hue = 1 + (dit == forest.depth.end() ? 0 : dit->second % hue_period);
       auto pit = forest.parent.find(e);
-      if (pit != forest.parent.end()) parent = pit->second;
-      iso_key = LocalIsoKey(c, e, parent);
+      const TermId parent = pit != forest.parent.end() ? pit->second : -1;
+      key = {parent >= 0 ? own_id[parent] : no_parent, own_id[e]};
+      if (parent >= 0) {
+        AppendLocalAtoms(c, incidence.Of(e), e, parent, true, &key);
+      }
     }
-    auto [lit, lnew] =
-        lightness_of.emplace(iso_key, static_cast<int>(lightness_of.size()));
-    (void)lnew;
-    int lightness = lit->second;
-    auto key = std::make_pair(hue, lightness);
-    auto cit = color_pred.find(key);
+    const int lightness = Intern(&lightness_of, std::move(key));
+    auto hl = std::make_pair(hue, lightness);
+    auto cit = color_pred.find(hl);
     if (cit == color_pred.end()) {
       PredId k = out.colored.mutable_sig().AddColorPredicate(hue, lightness);
-      cit = color_pred.emplace(key, k).first;
+      cit = color_pred.emplace(hl, k).first;
       out.color_predicates.push_back(k);
     }
     out.colored.AddFact(cit->second, {e});
@@ -94,42 +165,7 @@ Result<Coloring> NaturalColoring(const Structure& c, int m) {
   for (PredId p = 0; p < c.sig().num_predicates(); ++p) {
     if (!c.sig().IsColor(p)) out.base_predicates.push_back(p);
   }
-  // Exclude colors added concurrently by this very call (already excluded:
-  // the loop above ran over the pre-coloring predicate count).
   return out;
-}
-
-bool IsNaturalColoring(const Coloring& coloring, const Structure& c, int m) {
-  const Signature& sig = coloring.colored.sig();
-  // Condition 1: distinct hues within P_m(e) (excluding e itself).
-  for (TermId e : c.Domain()) {
-    if (!sig.IsNull(e)) continue;
-    auto it = coloring.color_of.find(e);
-    if (it == coloring.color_of.end()) return false;
-    int hue_e = sig.predicate(it->second).hue;
-    for (TermId d : PkSet(c, e, m)) {
-      if (d == e || !sig.IsNull(d)) continue;
-      auto dit = coloring.color_of.find(d);
-      if (dit == coloring.color_of.end()) return false;
-      if (sig.predicate(dit->second).hue == hue_e) return false;
-    }
-  }
-  // Condition 2: same color => isomorphic C ↾ (P(e) ∪ C_con).
-  SkeletonAnalysis forest = AnalyzeSkeleton(c);
-  std::map<PredId, std::string> seen;
-  for (TermId e : c.Domain()) {
-    auto it = coloring.color_of.find(e);
-    if (it == coloring.color_of.end()) return false;
-    TermId parent = -1;
-    auto pit = forest.parent.find(e);
-    if (pit != forest.parent.end()) parent = pit->second;
-    std::string key = c.sig().IsNull(e)
-                          ? LocalIsoKey(c, e, parent)
-                          : "const:" + std::to_string(e);
-    auto [sit, inserted] = seen.emplace(it->second, key);
-    if (!inserted && sit->second != key) return false;
-  }
-  return true;
 }
 
 }  // namespace bddfc

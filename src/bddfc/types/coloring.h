@@ -4,8 +4,14 @@
 // separates elements that are close (within P_m) in the predecessor order,
 // the lightness l records the isomorphism type of C ↾ (P(e) ∪ C_con). For
 // forests — the shape of every skeleton by Lemma 3 — hue = depth mod (m+2)
-// realizes Def. 14's first condition, and the lightness is computed from a
-// canonical encoding of the local atoms around (e, parent(e), constants).
+// realizes Def. 14's first condition. The lightness key is built from the
+// incidence of e and its parent only: one pass over C indexes, per null,
+// the facts it occurs in, and the key of e encodes those of its facts and
+// its parent's whose other terms are named constants. Atoms made only of
+// constants lie in every null's restriction and are left out. Coloring
+// costs O(Σ degree), not O(|dom| · |facts|). The literal Def. 14 check,
+// IsNaturalColoring, lives with the reference implementation in
+// testing/coloring_reference.h.
 
 #ifndef BDDFC_TYPES_COLORING_H_
 #define BDDFC_TYPES_COLORING_H_
@@ -37,12 +43,9 @@ struct Coloring {
 /// Builds a natural coloring of `c` with hue window m (Def. 14). Requires
 /// the labeled nulls of `c` to form a forest under binary atoms (Lemma 3
 /// guarantees this for skeletons); fails with FailedPrecondition otherwise.
+/// Lightness ids are numbered in Domain() order of first occurrence, and
+/// color predicates are added to the shared signature in that order.
 Result<Coloring> NaturalColoring(const Structure& c, int m);
-
-/// Checks Def. 14 on an arbitrary coloring: distinct hues within each
-/// P_m(e), and isomorphic C ↾ (P(e) ∪ C_con) for same-colored elements.
-/// Used by tests; NaturalColoring's output satisfies it by construction.
-bool IsNaturalColoring(const Coloring& coloring, const Structure& c, int m);
 
 }  // namespace bddfc
 

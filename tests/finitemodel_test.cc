@@ -8,6 +8,7 @@
 #include "bddfc/finitemodel/model_search.h"
 #include "bddfc/finitemodel/pipeline.h"
 #include "bddfc/parser/parser.h"
+#include "bddfc/workload/generators.h"
 #include "bddfc/workload/paper_examples.h"
 
 namespace bddfc {
@@ -269,6 +270,116 @@ TEST(ModelSearchTest, AgreesWithPipelineOnTinyInput) {
   EXPECT_TRUE(r.status.ok());
   // The brute-force model is no larger than the pipeline's.
   EXPECT_LE(search.model->Domain().size(), r.model.Domain().size());
+}
+
+// ---------------------------------------------------------------------------
+// Golden runs: the attempt list and the certified model of the pipeline on
+// Example 7 are pinned, so a faster coloring or certification step must
+// reproduce them exactly. A model is pinned by its size and the FNV-1a hash
+// of its sorted ToString() dump.
+// ---------------------------------------------------------------------------
+
+struct GoldenAttempt {
+  size_t chase_depth;
+  int n;
+  size_t skeleton_facts;
+  int quotient_size;
+  bool certified;
+  const char* failure;
+};
+
+uint64_t Fnv1a(const std::string& s) {
+  uint64_t h = 1469598103934665603ULL;
+  for (unsigned char c : s) {
+    h ^= c;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+constexpr const char* kExample7Rules =
+    "e(X, Y) -> exists Z: e(Y, Z).\n"
+    "e(X, Y), e(X1, Y) -> r(X, X1).\n";
+
+void ExpectGoldenRun(const std::string& text,
+                     const std::vector<GoldenAttempt>& attempts,
+                     size_t model_domain, size_t model_facts,
+                     size_t dump_length, uint64_t dump_hash) {
+  Program p = MustParse(text.c_str());
+  ConjunctiveQuery q = MustQuery("e(X, X)", &p);
+  const int num_original_preds = p.theory.sig().num_predicates();
+  FiniteModelResult r = ConstructFiniteCounterModel(p.theory, p.instance, q);
+  ExpectCertifiedCounterModel(r, p, q);
+  ASSERT_EQ(r.attempts.size(), attempts.size());
+  for (size_t i = 0; i < attempts.size(); ++i) {
+    const PipelineAttempt& got = r.attempts[i];
+    const GoldenAttempt& want = attempts[i];
+    EXPECT_EQ(got.chase_depth, want.chase_depth) << "attempt " << i;
+    EXPECT_EQ(got.n, want.n) << "attempt " << i;
+    EXPECT_EQ(got.skeleton_facts, want.skeleton_facts) << "attempt " << i;
+    EXPECT_EQ(got.quotient_size, want.quotient_size) << "attempt " << i;
+    EXPECT_EQ(got.certified, want.certified) << "attempt " << i;
+    EXPECT_EQ(got.failure, want.failure) << "attempt " << i;
+  }
+  EXPECT_EQ(r.model.Domain().size(), model_domain);
+  EXPECT_EQ(r.model.NumFacts(), model_facts);
+  const std::string dump = r.model.ToString();
+  EXPECT_EQ(dump.size(), dump_length);
+  EXPECT_EQ(Fnv1a(dump), dump_hash);
+  // Colors, the hidden-query predicate and normalization auxiliaries are
+  // projected away.
+  for (PredId pred = num_original_preds; pred < r.model.NumStoredPredicates();
+       ++pred) {
+    EXPECT_EQ(r.model.NumFacts(pred), 0u) << p.theory.sig().PredicateName(pred);
+  }
+}
+
+TEST(PipelineGoldenTest, Example7OnSixteenEdgePath) {
+  std::string text = kExample7Rules;
+  for (int i = 0; i < 16; ++i) {
+    text += "e(c" + std::to_string(i) + ", c" + std::to_string(i + 1) + ").\n";
+  }
+  ExpectGoldenRun(
+      text,
+      {{8, 2, 80, 66, false, "not a model: rule #0 violated by e(_q96, _q112)"},
+       {8, 3, 80, 81, false, "not a model: rule #0 violated by e(_q145, _q161)"},
+       {8, 4, 80, 81, false, "not a model: rule #0 violated by e(_q209, _q225)"},
+       {16, 2, 144, 70, false,
+        "not a model: rule #0 violated by e(_q420, _q421)"},
+       {16, 3, 144, 85, false,
+        "not a model: rule #0 violated by e(_q488, _q489)"},
+       {16, 4, 144, 100, false,
+        "not a model: rule #0 violated by e(_q571, _q572)"},
+       {32, 2, 272, 70, true, ""}},
+      70, 427, 6620, 0x112c6b5bd1bef385ULL);
+}
+
+TEST(PipelineGoldenTest, Example7OnSeededForest) {
+  // The 128-edge, 4-root forest of the pipeline-ex7 benchmark at seed 1.
+  std::string text = kExample7Rules;
+  Rng rng(Rng::Mix(1, 2));
+  int next = 4;
+  for (int k = 0; k < 128; ++k) {
+    const int parent = static_cast<int>(rng.Uniform(next));
+    text += "e(c" + std::to_string(parent) + ", c" + std::to_string(next++) +
+            ").\n";
+  }
+  ExpectGoldenRun(
+      text,
+      {{8, 2, 640, 517, false,
+        "not a model: rule #0 violated by e(_q768, _q896)"},
+       {8, 3, 640, 644, false,
+        "not a model: rule #0 violated by e(_q1153, _q1281)"},
+       {8, 4, 640, 644, false,
+        "not a model: rule #0 violated by e(_q1665, _q1793)"},
+       {16, 2, 1152, 521, false,
+        "not a model: rule #0 violated by e(_q3332, _q3333)"},
+       {16, 3, 1152, 648, false,
+        "not a model: rule #0 violated by e(_q3848, _q3849)"},
+       {16, 4, 1152, 775, false,
+        "not a model: rule #0 violated by e(_q4491, _q4492)"},
+       {32, 2, 2176, 521, true, ""}},
+      521, 17678, 316323, 0x1e65ce1ee9bebabdULL);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include "bddfc/chase/skeleton.h"
 #include "bddfc/eval/match.h"
+#include "bddfc/testing/coloring_reference.h"
 #include "bddfc/types/coloring.h"
 #include "bddfc/types/conservativity.h"
 #include "bddfc/types/ptype.h"
