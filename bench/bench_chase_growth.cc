@@ -14,7 +14,6 @@
 
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -134,19 +133,6 @@ bool ByteIdentical(const ChaseResult& a, const ChaseResult& b) {
          a.nulls_created == b.nulls_created && a.rounds_run == b.rounds_run;
 }
 
-/// One measured configuration of E15/E15b, also a row of BENCH_chase.json.
-struct ScalingRow {
-  const char* family;  // "scaling" (generator) or "tc-saturation"
-  int nodes;
-  int edges;
-  std::string engine;  // "parallel" (the engine) or "naive"
-  size_t threads;
-  double ms;
-  size_t facts;
-  size_t rounds;
-  bool identical;  // byte-identical to the family's reference run
-};
-
 /// Dedup counters two equivalent runs must agree on, whatever the engine.
 bool DedupParity(const ChaseResult& a, const ChaseResult& b) {
   return a.stats.triggers_deduped == b.stats.triggers_deduped &&
@@ -158,35 +144,6 @@ bool DedupParity(const ChaseResult& a, const ChaseResult& b) {
 bool StatsParity(const ChaseResult& a, const ChaseResult& b) {
   return a.stats.match.bindings_tried == b.stats.match.bindings_tried &&
          DedupParity(a, b);
-}
-
-/// Writes the perf-trajectory artifact consumed by CI. The path defaults
-/// to BENCH_chase.json in the working directory (CI runs from the repo
-/// root); override with BDDFC_BENCH_JSON.
-void WriteBenchJson(const std::vector<ScalingRow>& rows) {
-  const char* path = std::getenv("BDDFC_BENCH_JSON");
-  if (path == nullptr) path = "BENCH_chase.json";
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "E15: cannot write %s\n", path);
-    return;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"chase\",\n  \"experiment\": \"E15\",\n");
-  std::fprintf(f, "  \"workload\": \"RandomAcyclicBinaryTheory seed=42\",\n");
-  std::fprintf(f, "  \"rows\": [\n");
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const ScalingRow& r = rows[i];
-    std::fprintf(f,
-                 "    {\"family\": \"%s\", \"nodes\": %d, \"edges\": %d, "
-                 "\"engine\": \"%s\", \"threads\": %zu, \"ms\": %.3f, "
-                 "\"facts\": %zu, \"rounds\": %zu, \"identical\": %s}%s\n",
-                 r.family, r.nodes, r.edges, r.engine.c_str(), r.threads,
-                 r.ms, r.facts, r.rounds, r.identical ? "true" : "false",
-                 i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s (%zu rows)\n", path, rows.size());
 }
 
 /// Transitive closure of a c0 -> c1 -> ... -> c(n-1) path under the
@@ -208,7 +165,7 @@ GeneratorWorkload MakeTcWorkload(int n) {
   return {nullptr, std::move(p.theory), std::move(p.instance)};
 }
 
-void PrintTcSaturation(std::vector<ScalingRow>* json_rows) {
+void PrintTcSaturation() {
   bddfc_bench::Banner(
       "E15b", "engine vs naive reference on datalog saturation (path "
               "transitive closure; byte-identical output and dedup "
@@ -228,12 +185,6 @@ void PrintTcSaturation(std::vector<ScalingRow>* json_rows) {
     const bool t4_ok = ByteIdentical(t4, ref) && StatsParity(t4, t1) &&
                        t4.stats.sink_candidates == t1.stats.sink_candidates &&
                        t4.stats.sink_contained == t1.stats.sink_contained;
-    json_rows->push_back({"tc-saturation", n, n - 1, "naive", 1, naive_ms,
-                          ref.structure.NumFacts(), ref.rounds_run, true});
-    json_rows->push_back({"tc-saturation", n, n - 1, "parallel", 1, t1_ms,
-                          t1.structure.NumFacts(), t1.rounds_run, t1_ok});
-    json_rows->push_back({"tc-saturation", n, n - 1, "parallel", 4, t4_ms,
-                          t4.structure.NumFacts(), t4.rounds_run, t4_ok});
     std::printf("%-8d %-8zu %-8zu %-10.2f %-10.2f %-9.2f %-10.2f %-9s\n", n,
                 ref.structure.NumFacts(), ref.rounds_run, naive_ms, t1_ms,
                 naive_ms / std::max(t1_ms, 1e-9), t4_ms,
@@ -241,7 +192,7 @@ void PrintTcSaturation(std::vector<ScalingRow>* json_rows) {
   }
 }
 
-void PrintParallelScaling(std::vector<ScalingRow>* out_rows) {
+void PrintParallelScaling() {
   bddfc_bench::Banner(
       "E15", "parallel sharded chase scaling (byte-identical and equal "
              "counters at every thread count; thread scaling needs real "
@@ -259,8 +210,6 @@ void PrintParallelScaling(std::vector<ScalingRow>* out_rows) {
     GeneratorWorkload ref_w = MakeGeneratorWorkload(nodes, edges, 42);
     double ms[4] = {0, 0, 0, 0};
     ChaseResult ref = TimedChase(ref_w, ChaseEngine::kParallel, &ms[0]);
-    out_rows->push_back({"scaling", nodes, edges, "parallel", 1, ms[0],
-                         ref.structure.NumFacts(), ref.rounds_run, true});
     bool all_identical = true;
     for (int i = 1; i < 4; ++i) {
       GeneratorWorkload w = MakeGeneratorWorkload(nodes, edges, 42);
@@ -268,9 +217,6 @@ void PrintParallelScaling(std::vector<ScalingRow>* out_rows) {
           TimedChase(w, ChaseEngine::kParallel, &ms[i], thread_counts[i]);
       const bool identical = ByteIdentical(r, ref) && StatsParity(r, ref);
       all_identical = all_identical && identical;
-      out_rows->push_back({"scaling", nodes, edges, "parallel",
-                           thread_counts[i], ms[i], r.structure.NumFacts(),
-                           r.rounds_run, identical});
     }
     std::printf(
         "%-8d %-8d %-8zu %-8zu %-8.2f %-8.2f %-8.2f %-8.2f %-9.2f %-9s\n",
@@ -424,10 +370,8 @@ BENCHMARK(BM_DatalogSaturation)->Arg(16)->Arg(32)->Arg(64);
 void PrintAllTables() {
   PrintTable();
   PrintEngineComparison();
-  std::vector<ScalingRow> json_rows;
-  PrintParallelScaling(&json_rows);
-  PrintTcSaturation(&json_rows);
-  WriteBenchJson(json_rows);
+  PrintParallelScaling();
+  PrintTcSaturation();
 }
 
 }  // namespace

@@ -6,15 +6,12 @@
 //
 // E16 — interpreter vs compiled-plan evaluation on the same workloads:
 // full enumeration (CountMatches) through the interpretive Matcher and the
-// vectorized plan executor, equal counts required, with the per-query
-// timings exported as BENCH_eval.json (the CQ-eval perf trajectory CI
-// archives next to BENCH_chase.json).
+// vectorized plan executor, equal counts required.
 
 #include "bench_common.h"
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -51,17 +48,6 @@ void PrintTable() {
   }
 }
 
-/// One measured query of E16, also a row of BENCH_eval.json.
-struct EvalRow {
-  int nodes;
-  int edges;
-  const char* query;
-  size_t matches;
-  double interp_ms;
-  double plan_ms;
-  bool equal;
-};
-
 /// Best-of-three wall time of `fn` in milliseconds.
 template <typename Fn>
 double TimeMs(const Fn& fn) {
@@ -76,36 +62,6 @@ double TimeMs(const Fn& fn) {
   return best;
 }
 
-/// Writes the CQ-eval perf-trajectory artifact. Defaults to
-/// BENCH_eval.json in the working directory; override with
-/// BDDFC_BENCH_EVAL_JSON.
-void WriteEvalJson(const std::vector<EvalRow>& rows) {
-  const char* path = std::getenv("BDDFC_BENCH_EVAL_JSON");
-  if (path == nullptr) path = "BENCH_eval.json";
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "E16: cannot write %s\n", path);
-    return;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"eval\",\n  \"experiment\": \"E16\",\n");
-  std::fprintf(f, "  \"workload\": \"RandomGraph seed=7, edges=4n\",\n");
-  std::fprintf(f, "  \"rows\": [\n");
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const EvalRow& r = rows[i];
-    std::fprintf(f,
-                 "    {\"nodes\": %d, \"edges\": %d, \"query\": \"%s\", "
-                 "\"matches\": %zu, \"interp_ms\": %.3f, \"plan_ms\": %.3f, "
-                 "\"speedup\": %.2f, \"equal\": %s}%s\n",
-                 r.nodes, r.edges, r.query, r.matches, r.interp_ms,
-                 r.plan_ms, r.interp_ms / std::max(r.plan_ms, 1e-9),
-                 r.equal ? "true" : "false",
-                 i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s (%zu rows)\n", path, rows.size());
-}
-
 void PrintBackendComparison() {
   bddfc_bench::Banner(
       "E16", "interpretive matcher vs compiled-plan executor (full "
@@ -113,7 +69,6 @@ void PrintBackendComparison() {
   std::printf("%-8s %-8s %-7s %-10s %-10s %-9s %-8s %-6s\n", "nodes",
               "edges", "query", "matches", "interp ms", "plan ms",
               "speedup", "equal");
-  std::vector<EvalRow> rows;
   for (int nodes : {300, 1000, 3000}) {
     auto sig = std::make_shared<Signature>();
     Structure g = RandomGraph(sig, nodes, nodes * 4, /*seed=*/7);
@@ -137,15 +92,12 @@ void PrintBackendComparison() {
       size_t plan_count = 0;
       const double plan_ms =
           TimeMs([&] { plan_count = PlanCountMatches(g, q.atoms); });
-      rows.push_back({nodes, nodes * 4, name, interp_count, interp_ms,
-                      plan_ms, interp_count == plan_count});
       std::printf("%-8d %-8d %-7s %-10zu %-10.2f %-9.2f %-8.2f %-6s\n",
                   nodes, nodes * 4, name, interp_count, interp_ms, plan_ms,
                   interp_ms / std::max(plan_ms, 1e-9),
                   interp_count == plan_count ? "yes" : "NO");
     }
   }
-  WriteEvalJson(rows);
 }
 
 void PrintAllTables() {

@@ -6,6 +6,7 @@
 #include <memory>
 #include <unordered_map>
 
+#include "bddfc/core/radix_sort.h"
 #include "bddfc/eval/exec.h"
 #include "bddfc/obs/trace.h"
 
@@ -243,8 +244,10 @@ void DatalogSinkBuffers::Compact(PredBuf* pb) {
     return;
   }
 
-  const TermId* base = pb->data.data();
-  const TermId* tail = base + pb->kept * arity;
+  // Sort the raw tail in place; equal tuples become adjacent groups.
+  TermId* const base = pb->data.data();
+  TermId* const tail = base + pb->kept * arity;
+  RadixSortTuples(tail, pb->tail, arity, &scratch_);
   auto tup_less = [arity](const TermId* a, const TermId* b) {
     return std::lexicographical_compare(a, a + arity, b, b + arity);
   };
@@ -252,76 +255,65 @@ void DatalogSinkBuffers::Compact(PredBuf* pb) {
     return std::equal(a, a + arity, b);
   };
 
-  // Sort the raw tail by tuple value (index sort; tuples stay in place).
-  std::vector<uint32_t> ord(pb->tail);
-  for (uint32_t i = 0; i < pb->tail; ++i) ord[i] = i;
-  std::sort(ord.begin(), ord.end(), [&](uint32_t a, uint32_t b) {
-    const TermId* ta = tail + static_cast<size_t>(a) * arity;
-    const TermId* tb = tail + static_cast<size_t>(b) * arity;
-    return tup_less(ta, tb) || (!tup_less(tb, ta) && a < b);
-  });
-
   // Pass 1: walk the sorted tail groups against the kept prefix with a
   // monotone cursor. Groups equal to a kept tuple collapse immediately
   // (order-independent: k more occurrences of a kept tuple count k);
-  // fresh distinct tuples are gathered for one bulk containment probe.
-  std::vector<TermId> fresh;
-  std::vector<uint32_t> fresh_count;
+  // fresh distinct tuples are packed to the front of the tail (the write
+  // cursor never passes the read cursor) for one bulk containment probe.
+  fresh_count_.clear();
+  TermId* fresh_end = tail;
   size_t pi = 0;
-  for (size_t gi = 0; gi < ord.size();) {
-    const TermId* t = tail + static_cast<size_t>(ord[gi]) * arity;
+  for (size_t gi = 0; gi < pb->tail;) {
+    const TermId* t = tail + gi * arity;
     size_t ge = gi + 1;
-    while (ge < ord.size() &&
-           tup_eq(t, tail + static_cast<size_t>(ord[ge]) * arity)) {
-      ++ge;
-    }
+    while (ge < pb->tail && tup_eq(t, tail + ge * arity)) ++ge;
     const size_t k = ge - gi;
     while (pi < pb->kept && tup_less(base + pi * arity, t)) ++pi;
     if (pi < pb->kept && tup_eq(base + pi * arity, t)) {
       deduped_ += k;
       if (drop_dup_groups_) pb->kept_dup[pi] = 1;
     } else {
-      fresh.insert(fresh.end(), t, t + arity);
-      fresh_count.push_back(static_cast<uint32_t>(k));
+      if (fresh_end != t) std::copy_n(t, arity, fresh_end);
+      fresh_end += arity;
+      fresh_count_.push_back(static_cast<uint32_t>(k));
     }
     gi = ge;
   }
 
   // One bulk containment probe for all fresh distinct tuples.
-  const size_t fresh_tuples = fresh_count.size();
-  std::vector<char> fresh_in;
+  const size_t fresh_tuples = fresh_count_.size();
+  size_t fresh_hits = 0;
   if (fresh_tuples > 0) {
     probes_ += fresh_tuples;
-    frozen_.ContainsSorted(pb->pred, arity, fresh.data(), fresh_tuples,
-                           &fresh_in);
+    fresh_hits = frozen_.ContainsSorted(pb->pred, arity, tail, fresh_tuples,
+                                        &fresh_in_);
   }
 
   // Pass 2: merge the kept prefix with the surviving fresh tuples (both
-  // sorted, disjoint) into the new compacted prefix.
+  // sorted, disjoint) into the new compacted prefix, allocated at its
+  // exact size: the buffer a parallel task hands to the barrier keeps no
+  // tail-sized capacity.
   std::vector<TermId> merged;
   std::vector<char> merged_dup;
-  size_t merged_tuples = 0;
-  merged.reserve(pb->kept * arity + fresh.size());
+  merged.reserve((pb->kept + fresh_tuples - fresh_hits) * arity);
   size_t mi = 0;  // kept cursor
   size_t fi = 0;  // fresh cursor
   auto push_kept = [&](size_t i) {
     merged.insert(merged.end(), base + i * arity, base + (i + 1) * arity);
     if (drop_dup_groups_) merged_dup.push_back(pb->kept_dup[i]);
-    ++merged_tuples;
   };
   auto push_fresh = [&](size_t i) {
-    const TermId* t = fresh.data() + i * arity;
-    if (fresh_in[i]) {
-      contained_ += fresh_count[i];
+    const TermId* t = tail + i * arity;
+    if (fresh_in_[i]) {
+      contained_ += fresh_count_[i];
       return;
     }
-    deduped_ += fresh_count[i] - 1;
+    deduped_ += fresh_count_[i] - 1;
     merged.insert(merged.end(), t, t + arity);
-    if (drop_dup_groups_) merged_dup.push_back(fresh_count[i] > 1 ? 1 : 0);
-    ++merged_tuples;
+    if (drop_dup_groups_) merged_dup.push_back(fresh_count_[i] > 1 ? 1 : 0);
   };
   while (mi < pb->kept && fi < fresh_tuples) {
-    if (tup_less(base + mi * arity, fresh.data() + fi * arity)) {
+    if (tup_less(base + mi * arity, tail + fi * arity)) {
       push_kept(mi++);
     } else {
       push_fresh(fi++);
@@ -330,9 +322,9 @@ void DatalogSinkBuffers::Compact(PredBuf* pb) {
   while (mi < pb->kept) push_kept(mi++);
   while (fi < fresh_tuples) push_fresh(fi++);
 
-  pb->data = std::move(merged);
-  pb->kept = merged_tuples;
+  pb->kept = merged.size() / arity;
   pb->tail = 0;
+  pb->data = std::move(merged);
   if (drop_dup_groups_) pb->kept_dup = std::move(merged_dup);
 }
 
@@ -390,6 +382,7 @@ void MergeDatalogRuns(std::vector<DatalogSinkBuffers::Run> runs,
   std::sort(runs.begin(), runs.end(),
             [](const DatalogSinkBuffers::Run& a,
                const DatalogSinkBuffers::Run& b) { return a.pred < b.pred; });
+  std::vector<TermId> flat, scratch;
   for (size_t i = 0; i < runs.size();) {
     size_t j = i + 1;
     while (j < runs.size() && runs[j].pred == runs[i].pred) ++j;
@@ -407,31 +400,20 @@ void MergeDatalogRuns(std::vector<DatalogSinkBuffers::Run> runs,
       i = j;
       continue;
     }
-    // Concatenate the runs of this predicate and sort an index over all
-    // tuples (each run is already sorted; a global index sort keeps the
-    // merge simple and the group walk identical to the serial path).
-    std::vector<TermId> flat;
+    // Concatenate the runs of this predicate and sort the tuples (each run
+    // is sorted and distinct, so a lone run needs no sort); equal tuples
+    // from different runs become adjacent groups.
+    flat.clear();
     size_t total = 0;
     for (size_t r = i; r < j; ++r) {
       flat.insert(flat.end(), runs[r].data.begin(), runs[r].data.end());
       total += runs[r].tuples;
     }
-    auto tup_less = [arity](const TermId* a, const TermId* b) {
-      return std::lexicographical_compare(a, a + arity, b, b + arity);
-    };
-    std::vector<uint32_t> ord(total);
-    for (uint32_t t = 0; t < total; ++t) ord[t] = t;
-    std::sort(ord.begin(), ord.end(), [&](uint32_t a, uint32_t b) {
-      const TermId* ta = flat.data() + static_cast<size_t>(a) * arity;
-      const TermId* tb = flat.data() + static_cast<size_t>(b) * arity;
-      return tup_less(ta, tb) || (!tup_less(tb, ta) && a < b);
-    });
-    for (size_t gi = 0; gi < ord.size();) {
-      const TermId* t = flat.data() + static_cast<size_t>(ord[gi]) * arity;
+    if (j - i > 1) RadixSortTuples(flat.data(), total, arity, &scratch);
+    for (size_t gi = 0; gi < total;) {
+      const TermId* t = flat.data() + gi * arity;
       size_t ge = gi + 1;
-      while (ge < ord.size() &&
-             std::equal(t, t + arity,
-                        flat.data() + static_cast<size_t>(ord[ge]) * arity)) {
+      while (ge < total && std::equal(t, t + arity, flat.data() + ge * arity)) {
         ++ge;
       }
       *deduped += ge - gi - 1;

@@ -195,13 +195,14 @@ inline constexpr size_t kSinkCompactTuples = 1 << 16;
 /// Append is the entire per-occurrence cost: bump a cursor and copy
 /// `arity` TermIds; no Atom allocation, no hash probe, no dedup-set
 /// insert. Compact() restores the invariant that the buffer's prefix is
-/// sorted, distinct, and absent from `frozen`: the raw tail is sorted,
-/// duplicate groups collapse with order-independent counting (a group of
-/// k occurrences contributes k-1 to deduped() whether it collapses in one
-/// compaction, telescopes across several, or splits across parallel
-/// tasks), and the fresh distinct tuples go through one bulk
-/// Structure::ContainsSorted probe. The counters therefore match kNaive's
-/// hash sink exactly — the byte-identity contract extends to stats.
+/// sorted, distinct, and absent from `frozen`: the raw tail is sorted in
+/// place (RadixSortTuples), duplicate groups collapse with
+/// order-independent counting (a group of k occurrences contributes k-1
+/// to deduped() whether it collapses in one compaction, telescopes across
+/// several, or splits across parallel tasks), and the fresh distinct
+/// tuples go through one bulk Structure::ContainsSorted probe. The
+/// counters therefore match kNaive's hash sink exactly — the
+/// byte-identity contract extends to stats.
 class DatalogSinkBuffers {
  public:
   /// `frozen` answers containment (Chase^{i-1}; must outlive the sink).
@@ -258,6 +259,12 @@ class DatalogSinkBuffers {
   const bool drop_dup_groups_;
   std::vector<int32_t> pred_slot_;  // pred -> index into bufs_, or -1
   std::vector<PredBuf> bufs_;      // first-appearance order
+  /// Compaction working storage, reused across compactions and
+  /// predicates: the radix sort's scratch, the fresh groups' occurrence
+  /// counts and their containment answers.
+  std::vector<TermId> scratch_;
+  std::vector<uint32_t> fresh_count_;
+  std::vector<char> fresh_in_;
   size_t candidates_ = 0;
   size_t contained_ = 0;
   size_t probes_ = 0;

@@ -244,6 +244,12 @@ ArtifactCache::Outcome ArtifactCache::Compile(uint64_t key,
   artifact->chase =
       RunChase(artifact->program.theory, artifact->program.instance,
                chase_opts);
+  // A governed chase charged every fact it stored to the request's
+  // accountant (and through it the server's). The request hands that
+  // charge back here on every path; an admitted artifact is charged to
+  // the cache below with the same number.
+  const size_t chase_bytes = artifact->chase.structure.ApproxAccountedBytes();
+  if (ctx != nullptr) ctx->memory().Release(chase_bytes);
   if (!artifact->chase.status.ok()) {
     out.status = artifact->chase.status;
     return out;
@@ -255,10 +261,7 @@ ArtifactCache::Outcome ArtifactCache::Compile(uint64_t key,
   }
   artifact->rounds = artifact->chase.rounds_run;
 
-  // Accounted estimate: canonical bytes plus the chase structure's rows
-  // (same per-fact constant the chase charges) plus fixed overhead.
-  artifact->bytes = canonical.size() +
-                    artifact->chase.structure.NumFacts() * 64 + 4096;
+  artifact->bytes = chase_bytes;
   if (accountant_ != nullptr) accountant_->Charge(artifact->bytes);
 
   out.evicted = Admit(key, artifact);

@@ -78,7 +78,9 @@ struct Artifact {
   /// chases are never admitted).
   ChaseResult chase;
   size_t rounds = 0;
-  /// Accounted estimate charged to the server accountant while cached.
+  /// Accounted estimate charged to the server accountant while cached:
+  /// the chase structure's ApproxAccountedBytes, the same number the
+  /// compile's chase charged and released.
   size_t bytes = 0;
 
   /// Serializes query-time signature mutation (see file comment).

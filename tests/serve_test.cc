@@ -407,6 +407,63 @@ TEST(ServeAdmissionTest, ShedsWhenServerBudgetIsExhausted) {
   EXPECT_EQ(after.body, "true");
 }
 
+TEST(ServeAdmissionTest, AccountedMemoryReturnsToTheCachedArtifacts) {
+  // Every compile's chase charges its facts to the request accountant;
+  // the request must hand them back, so after any request the server
+  // accountant holds exactly the cached artifacts' bytes — through 520
+  // distinct LOADs into a 2-slot cache (evictions), QUERY and REWRITE
+  // requests, and failed compiles. Before the fix the root grew by every
+  // compile's structure and the server shed all requests after a few
+  // hundred loads at the default budget.
+  ServerOptions options;
+  options.cache_capacity = 2;
+  options.compile.max_rounds = 40;
+  options.rewrite.max_depth = 2;
+  options.rewrite.max_queries = 50;
+  ReasoningServer server(options);
+  auto check = [&](const std::string& what) {
+    ASSERT_EQ(server.memory().used(), server.cache().charged_bytes()) << what;
+  };
+  for (int i = 0; i < 520; ++i) {
+    // A distinct 12-edge path per LOAD: distinct canonical text, 78
+    // closure facts.
+    std::string theory = "e(X, Y), e(Y, Z) -> e(X, Z).\n";
+    for (int j = 0; j < 12; ++j) {
+      theory += "e(n" + std::to_string(i) + "_" + std::to_string(j) + ", n" +
+                std::to_string(i) + "_" + std::to_string(j + 1) + ").\n";
+    }
+    const Response load = server.Handle(Load("t1", theory));
+    ASSERT_TRUE(load.ok()) << load.status.ToString();
+    check("load " + std::to_string(i));
+    if (i % 10 == 0) {
+      const uint64_t key = KeyOf(load);
+      const std::string first = "n" + std::to_string(i) + "_0";
+      const Response q =
+          server.Handle(Query("t1", key, "e(" + first + ", X), e(X, Y)"));
+      ASSERT_TRUE(q.ok()) << q.status.ToString();
+      EXPECT_EQ(q.body, "true");
+      check("query " + std::to_string(i));
+      Request rw;
+      rw.kind = Request::Kind::kRewrite;
+      rw.tenant = "t1";
+      rw.key = key;
+      rw.payload = "e(X, Y)";
+      ASSERT_TRUE(server.Handle(rw).ok());
+      check("rewrite " + std::to_string(i));
+    }
+    if (i % 50 == 0) {
+      // A compile that never saturates: the non-fixpoint path.
+      const Response bad = server.Handle(Load(
+          "t1", "e(m" + std::to_string(i) + ", b).\ne(X, Y) -> exists Z: "
+                "e(Y, Z).\n"));
+      EXPECT_EQ(bad.status.code(), StatusCode::kResourceExhausted);
+      check("failed load " + std::to_string(i));
+    }
+  }
+  EXPECT_EQ(server.cache().size(), 2u);
+  EXPECT_GE(Counter(server, "bddfc.serve.evictions"), 518u);
+}
+
 TEST(ServeAdmissionTest, RequestDeadlineTripsTheCompile) {
   ServerOptions options;
   options.request_deadline_ms = 1e-6;

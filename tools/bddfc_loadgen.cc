@@ -20,7 +20,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <map>
 #include <mutex>
 #include <string>
@@ -394,7 +393,7 @@ std::map<std::string, uint64_t> CounterMap(const bddfc::obs::MetricsSnapshot& s)
 int Usage() {
   std::fprintf(stderr,
                "usage: bddfc_loadgen [--tenants=N] [--workers=N] "
-               "[--requests=N] [--seed=N] [--trace] [--json=PATH] "
+               "[--requests=N] [--seed=N] [--trace] "
                "[--connect=HOST:PORT]\n"
                "  --requests is per worker; total = workers * requests\n");
   return 2;
@@ -408,7 +407,6 @@ int main(int argc, char** argv) {
   size_t requests = 150;
   uint64_t seed = 42;
   bool trace = false;
-  const char* json_out = nullptr;
   std::string connect_host;
   uint16_t connect_port = 0;
 
@@ -428,8 +426,6 @@ int main(int argc, char** argv) {
       seed = std::strtoull(p, nullptr, 10);
     } else if (std::strcmp(arg, "--trace") == 0) {
       trace = true;
-    } else if (const char* p = flag("--json=")) {
-      json_out = p;
     } else if (const char* p = flag("--connect=")) {
       const char* colon = std::strrchr(p, ':');
       if (colon == nullptr) return Usage();
@@ -595,30 +591,6 @@ int main(int argc, char** argv) {
                 trace ? (" compile_spans=" + std::to_string(compile_spans))
                             .c_str()
                       : "");
-  }
-
-  if (json_out != nullptr) {
-    std::ofstream out(json_out);
-    if (!out) {
-      std::fprintf(stderr, "error: cannot write '%s'\n", json_out);
-      return 1;
-    }
-    char row[512];
-    std::snprintf(
-        row, sizeof(row),
-        "    {\"mode\": \"%s\", \"tenants\": %zu, \"workers\": %zu, "
-        "\"requests\": %zu, \"qps\": %.0f, \"p50_ms\": %.3f, "
-        "\"p99_ms\": %.3f, \"sheds\": %zu, \"mismatches\": %zu, "
-        "\"compiles\": %llu, \"cache_hits\": %llu, \"reconciled\": %s}",
-        in_process ? "inprocess" : "socket", tenants, workers, total, qps,
-        p50, p99, sheds, mismatches,
-        static_cast<unsigned long long>(compiles),
-        static_cast<unsigned long long>(cache_hits),
-        reconciled ? "true" : "false");
-    out << "{\n  \"bench\": \"serve\",\n  \"experiment\": \"E18\",\n"
-        << "  \"workload\": \"chain-closure tenants=" << tenants
-        << " seed=" << seed << "\",\n  \"rows\": [\n"
-        << row << "\n  ]\n}\n";
   }
 
   return (mismatches == 0 && reconciled) ? 0 : 1;
