@@ -5,57 +5,39 @@
 #include <cstdint>
 
 namespace bddfc {
-namespace radix_internal {
 
 namespace {
+
+/// Digits are at most this wide: 2^11 bucket counters stay in L1.
+constexpr unsigned kMaxDigitBits = 11;
 
 /// Sign-flipped key: unsigned order of keys == signed order of TermIds.
 inline uint32_t Key(TermId v) {
   return static_cast<uint32_t>(v) ^ 0x80000000u;
 }
 
+/// Moves every tuple of `src` to the next slot of its digit's bucket in
+/// `dst`; the digit of a tuple is ((key(pos) − base) >> shift) & mask. `A`
+/// is the arity when known at compile time (0 = read `arity`). The tuple
+/// is copied element-wise: std::copy_n of 3 TermIds compiles to a memmove
+/// call, which made arity-3 passes ~1.7x slower.
+template <size_t A>
+void Scatter(const TermId* src, TermId* dst, size_t n, size_t arity,
+             size_t pos, uint32_t base, unsigned shift, uint32_t mask,
+             size_t* next) {
+  const size_t w = A != 0 ? A : arity;
+  for (size_t i = 0; i < n; ++i, src += w) {
+    TermId* out = dst + next[((Key(src[pos]) - base) >> shift) & mask]++ * w;
+    for (size_t j = 0; j < w; ++j) out[j] = src[j];
+  }
+}
+
+/// Lexicographic order of two rows.
 inline bool RowLess(const TermId* a, const TermId* b, size_t arity) {
   for (size_t i = 0; i < arity; ++i) {
     if (a[i] != b[i]) return a[i] < b[i];
   }
   return false;
-}
-
-/// One stable counting pass: the digit of position `pos` is
-/// ((key − base) >> shift) & mask; `hist` indexes its bucket counts.
-struct Pass {
-  size_t pos;
-  uint32_t base;
-  unsigned shift;
-  uint32_t mask;
-  size_t hist;
-};
-
-/// Widest digit, in bits, for a batch of n tuples: 2^bits buckets stay
-/// within 2n (so clearing and prefix-summing them never dominates the
-/// scatter) and within 2^11 (so the counters stay in L1).
-unsigned MaxDigitBits(size_t n) {
-  const unsigned w = static_cast<unsigned>(std::bit_width(n));
-  return std::clamp(w, 1u, 11u);
-}
-
-/// Moves every tuple of `src` to its bucket's next slot in `dst`. `A` is
-/// the arity when known at compile time (0 = read `arity`). The pass is
-/// copied into locals (stores through `next` and `dst` could alias it),
-/// and the tuple is copied element-wise: std::copy_n of 3 TermIds
-/// compiles to a memmove call, which made arity-3 passes ~1.7x slower.
-template <size_t A>
-void Scatter(const TermId* src, TermId* dst, size_t n, size_t arity,
-             const Pass& p, size_t* next) {
-  const size_t w = A != 0 ? A : arity;
-  const size_t pos = p.pos;
-  const uint32_t base = p.base;
-  const unsigned shift = p.shift;
-  const uint32_t mask = p.mask;
-  for (size_t i = 0; i < n; ++i, src += w) {
-    TermId* out = dst + next[((Key(src[pos]) - base) >> shift) & mask]++ * w;
-    for (size_t j = 0; j < w; ++j) out[j] = src[j];
-  }
 }
 
 /// Insertion sort over whole rows; `A` as in Scatter.
@@ -80,6 +62,8 @@ void InsertRows(TermId* data, size_t n, size_t arity) {
 
 }  // namespace
 
+namespace radix_internal {
+
 void InsertionSortTuples(TermId* data, size_t n, size_t arity) {
   switch (arity) {
     case 0: break;
@@ -95,76 +79,65 @@ void LsdRadixSortTuples(TermId* data, size_t n, size_t arity,
                         std::vector<TermId>* scratch) {
   if (arity == 0 || n < 2) return;
 
-  // Scan 1: the observed key range of every position.
-  const TermId* const end = data + n * arity;
-  std::vector<uint32_t> lo(arity), hi(arity);
-  for (size_t pos = 0; pos < arity; ++pos) {
-    uint32_t l = UINT32_MAX, h = 0;
-    for (const TermId* t = data + pos; t < end; t += arity) {
-      l = std::min(l, Key(*t));
-      h = std::max(h, Key(*t));
-    }
-    lo[pos] = l;
-    hi[pos] = h;
-  }
+  // Widest digit for this batch: 2^bits buckets within 2n, so clearing
+  // and prefix-summing them never dominates the scatter.
+  const unsigned max_bits = std::clamp(
+      static_cast<unsigned>(std::bit_width(n)), 1u, kMaxDigitBits);
+  size_t next[size_t{1} << kMaxDigitBits];
 
-  // Plan the passes: last position first, low digit first; a position
-  // spanning `bits` significant bits gets ⌈bits / max⌉ equal-width digits.
-  const unsigned max_bits = MaxDigitBits(n);
-  std::vector<Pass> passes;
-  size_t buckets = 0;
-  for (size_t pos = arity; pos-- > 0;) {
-    const unsigned bits =
-        static_cast<unsigned>(std::bit_width(hi[pos] - lo[pos]));
-    if (bits == 0) continue;  // constant position: already in order
-    const unsigned count = (bits + max_bits - 1) / max_bits;
-    const unsigned width = (bits + count - 1) / count;
-    for (unsigned shift = 0; shift < bits; shift += width) {
-      passes.push_back(
-          {pos, lo[pos], shift, (uint32_t{1} << width) - 1, buckets});
-      buckets += size_t{1} << width;
-    }
-  }
-  if (passes.empty()) return;
-
-  // Scan 2: every pass's bucket counts, taken up front (a permutation
-  // does not change a digit's histogram).
-  std::vector<size_t> hist(buckets, 0);
-  for (const Pass& p : passes) {
-    size_t* const count = hist.data() + p.hist;
-    const uint32_t base = p.base;
-    const unsigned shift = p.shift;
-    const uint32_t mask = p.mask;
-    for (const TermId* t = data + p.pos; t < end; t += arity) {
-      ++count[((Key(*t) - base) >> shift) & mask];
-    }
-  }
-
-  scratch->resize(n * arity);
+  if (scratch->size() < n * arity) scratch->resize(n * arity);
   TermId* src = data;
   TermId* dst = scratch->data();
-  for (const Pass& p : passes) {
-    size_t* next = hist.data() + p.hist;
-    const size_t nb = size_t{p.mask} + 1;
-    // Exclusive prefix sums; a pass whose tuples share one digit would
-    // copy the batch unchanged, so it is skipped.
-    bool single = false;
-    size_t sum = 0;
-    for (size_t b = 0; b < nb; ++b) {
-      if (next[b] == n) single = true;
-      const size_t c = next[b];
-      next[b] = sum;
-      sum += c;
+  for (size_t pos = arity; pos-- > 0;) {
+    // The position's observed key range; a constant position is already
+    // in order and costs no pass.
+    uint32_t lo = UINT32_MAX, hi = 0;
+    for (const TermId* t = src + pos; t < src + n * arity; t += arity) {
+      lo = std::min(lo, Key(*t));
+      hi = std::max(hi, Key(*t));
     }
-    if (single) continue;
-    switch (arity) {
-      case 1: Scatter<1>(src, dst, n, arity, p, next); break;
-      case 2: Scatter<2>(src, dst, n, arity, p, next); break;
-      case 3: Scatter<3>(src, dst, n, arity, p, next); break;
-      case 4: Scatter<4>(src, dst, n, arity, p, next); break;
-      default: Scatter<0>(src, dst, n, arity, p, next); break;
+    const unsigned bits = static_cast<unsigned>(std::bit_width(hi - lo));
+    if (bits == 0) continue;
+    // ⌈bits / max_bits⌉ equal-width digits of key − lo, low digit first.
+    const unsigned digits = (bits + max_bits - 1) / max_bits;
+    const unsigned width = (bits + digits - 1) / digits;
+    const uint32_t mask = (uint32_t{1} << width) - 1;
+    const size_t buckets = size_t{mask} + 1;
+    for (unsigned shift = 0; shift < bits; shift += width) {
+      std::fill_n(next, buckets, 0);
+      for (const TermId* t = src + pos; t < src + n * arity; t += arity) {
+        ++next[((Key(*t) - lo) >> shift) & mask];
+      }
+      // Exclusive prefix sums; a digit every tuple shares would copy the
+      // batch unchanged, so its pass is skipped.
+      bool single = false;
+      size_t sum = 0;
+      for (size_t b = 0; b < buckets; ++b) {
+        const size_t c = next[b];
+        single |= c == n;
+        next[b] = sum;
+        sum += c;
+      }
+      if (single) continue;
+      switch (arity) {
+        case 1:
+          Scatter<1>(src, dst, n, arity, pos, lo, shift, mask, next);
+          break;
+        case 2:
+          Scatter<2>(src, dst, n, arity, pos, lo, shift, mask, next);
+          break;
+        case 3:
+          Scatter<3>(src, dst, n, arity, pos, lo, shift, mask, next);
+          break;
+        case 4:
+          Scatter<4>(src, dst, n, arity, pos, lo, shift, mask, next);
+          break;
+        default:
+          Scatter<0>(src, dst, n, arity, pos, lo, shift, mask, next);
+          break;
+      }
+      std::swap(src, dst);
     }
-    std::swap(src, dst);
   }
   if (src != data) std::copy_n(src, n * arity, data);
 }
